@@ -24,13 +24,13 @@ from .core import (
     CapacityError,
     MultilinearForm,
     N_MAX,
-    NotSemicoherentError,
     SetFamily,
     SignatureVector,
     SubsetMask,
     TruthTable,
+    _check_max_n,
+    _require_semicoherent,
     mobius_transform,
-    validate_semicoherent,
     zeta_transform,
 )
 from .reliability import diagonal_coefficients, evaluate_reliability
@@ -198,9 +198,7 @@ def parse_document(text: str) -> SystemDoc:
 
 
 def _realize_table(system: SystemDoc, max_n: "int | None") -> TruthTable:
-    limit = N_MAX if max_n is None else max_n
-    if system.n > limit:
-        raise CapacityError(f"n={system.n} exceeds max_n={limit}")
+    _check_max_n(system.n, max_n)
     if system.kind == "paths":
         return table_from_paths(system.paths, max_n=max_n)
     if system.kind == "cuts":
@@ -225,9 +223,7 @@ class _Analysis:
 
 def _analyze(system: SystemDoc, options: Options) -> _Analysis:
     table = _realize_table(system, options.max_n)
-    report = validate_semicoherent(table)
-    if not report.ok:
-        raise NotSemicoherentError("; ".join(report.violations))
+    _require_semicoherent(table)
     paths = minimal_path_sets(table)
     cuts = minimal_cut_sets(table)
     form = simple_form_from_paths(paths, max_r=options.max_r, max_n=options.max_n)
@@ -397,9 +393,7 @@ def _run_reliability(system: SystemDoc, options: Options) -> Report:
 
 def _run_verify(system: SystemDoc, options: Options) -> Report:
     table = _realize_table(system, options.max_n)
-    report = validate_semicoherent(table)
-    if not report.ok:
-        raise NotSemicoherentError("; ".join(report.violations))
+    _require_semicoherent(table)
     if table.n > VERIFY_N_MAX:
         raise CapacityError(
             f"verify runs brute-force oracles and is limited to n <= {VERIFY_N_MAX}, got n={table.n}"

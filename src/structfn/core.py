@@ -8,9 +8,12 @@ multilinear "simple form" maps subset masks to signed integer coefficients;
 the zeta transform (sum over contained subsets) turns coefficients back into
 values and the Mobius transform is its exact inverse.
 
-Dense lattice passes run on numpy int64 arrays whenever a magnitude bound
-proves int64 cannot overflow, and on Python integers otherwise, so every
-result is exact.
+Zeta and Mobius are one in-place lattice pass with opposite signs, run on
+numpy arrays whose dtype a written magnitude bound proves exact: int32 for
+Mobius, whose 0/1 input keeps every partial sum within +-2^23 for n <= 24;
+int64 for zeta while the input magnitudes sum below 2^62; and Python
+integers in an object-dtype array otherwise, which only forms that are about
+to be rejected ever reach.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ __all__ = [
 # about them is interactive, so larger systems are rejected outright.
 N_MAX = 24
 
-# A zeta/Mobius pass over int64 leaves every intermediate value bounded by the
-# sum of input magnitudes, so staying under this keeps int64 arithmetic exact.
+# A lattice pass leaves every intermediate value bounded by the sum of input
+# magnitudes, so staying under this keeps int64 arithmetic exact.
 _INT64_SAFE = 1 << 62
 
 
@@ -172,7 +175,7 @@ def _unpack_values(bits: int, n: int) -> np.ndarray:
     total = 1 << n
     raw = bits.to_bytes((total + 7) // 8, "little")
     unpacked = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=total, bitorder="little")
-    return unpacked.astype(np.int64)
+    return unpacked.astype(np.int32)
 
 
 def _pack_values(values01: np.ndarray) -> int:
@@ -180,27 +183,28 @@ def _pack_values(values01: np.ndarray) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _zeta_inplace(arr: np.ndarray, n: int) -> None:
+def _lattice_pass(arr: np.ndarray, n: int, sign: int) -> None:
+    """In place, for each component i: arr[A + i] += sign * arr[A] for A without i.
+
+    sign = +1 is the zeta transform (sum over contained subsets) and sign = -1
+    its Mobius inverse.
+    """
+    op = operator.iadd if sign > 0 else operator.isub
     for i in range(n):
         step = 1 << i
         view = arr.reshape(-1, 2 * step)
-        view[:, step:] += view[:, :step]
+        op(view[:, step:], view[:, :step])
 
 
-def _mobius_inplace(arr: np.ndarray, n: int) -> None:
-    for i in range(n):
-        step = 1 << i
-        view = arr.reshape(-1, 2 * step)
-        view[:, step:] -= view[:, :step]
+def _check_component_count(n: int) -> None:
+    if not 1 <= n <= N_MAX:
+        raise CapacityError(f"component count {n} outside 1..{N_MAX}")
 
 
-def _zeta_list(values: list, n: int) -> None:
-    """Pure-Python zeta pass; exact for arbitrarily large coefficients."""
-    for i in range(n):
-        step = 1 << i
-        for base in range(0, 1 << n, 2 * step):
-            for m in range(base + step, base + 2 * step):
-                values[m] += values[m - step]
+def _check_max_n(n: int, max_n: "int | None") -> None:
+    limit = N_MAX if max_n is None else max_n
+    if n > limit:
+        raise CapacityError(f"n={n} exceeds max_n={limit}")
 
 
 @dataclass(frozen=True)
@@ -211,8 +215,7 @@ class SubsetMask:
     n: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= N_MAX:
-            raise CapacityError(f"component count {self.n} outside 1..{N_MAX}")
+        _check_component_count(self.n)
         if not 0 <= self.bits < 1 << self.n:
             raise ValueError(f"mask {self.bits} has bits above position {self.n - 1}")
 
@@ -256,8 +259,7 @@ class TruthTable:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= N_MAX:
-            raise CapacityError(f"component count {self.n} outside 1..{N_MAX}")
+        _check_component_count(self.n)
         if not 0 <= self.bits < 1 << (1 << self.n):
             raise ValueError(f"table for n={self.n} must fit in {1 << self.n} entries")
 
@@ -279,6 +281,8 @@ class TruthTable:
                 if v not in (0, 1):
                     raise ValueError(f"table value {v} at position {pos} is not 0 or 1")
         if n is None:
+            if not seq:
+                raise ValueError("a table needs 2^n values for some n >= 1, got none")
             n = len(seq).bit_length() - 1
         if len(seq) != 1 << n:
             raise ValueError(f"expected {1 << n} values for n={n}, got {len(seq)}")
@@ -310,8 +314,7 @@ class MultilinearForm:
     coeffs: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= N_MAX:
-            raise CapacityError(f"component count {self.n} outside 1..{N_MAX}")
+        _check_component_count(self.n)
         clean: dict[int, int] = {}
         for mask in sorted(self.coeffs):
             mask = operator.index(mask)
@@ -354,8 +357,7 @@ class SetFamily:
     members: tuple[SubsetMask, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= N_MAX:
-            raise CapacityError(f"component count {self.n} outside 1..{N_MAX}")
+        _check_component_count(self.n)
         seen: set[int] = set()
         checked: list[SubsetMask] = []
         for member in self.members:
@@ -421,8 +423,7 @@ class DiagonalPoly:
     d: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= N_MAX:
-            raise CapacityError(f"component count {self.n} outside 1..{N_MAX}")
+        _check_component_count(self.n)
         if len(self.d) != self.n:
             raise ValueError(f"expected {self.n} coefficients, got {len(self.d)}")
         object.__setattr__(self, "d", tuple(operator.index(v) for v in self.d))
@@ -448,8 +449,7 @@ class SignatureVector:
     s: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= N_MAX:
-            raise CapacityError(f"component count {self.n} outside 1..{N_MAX}")
+        _check_component_count(self.n)
         if len(self.s) != self.n:
             raise InvalidSignatureError(f"expected {self.n} entries, got {len(self.s)}")
         values = tuple(Fraction(v) for v in self.s)
@@ -503,58 +503,47 @@ def validate_semicoherent(table: TruthTable) -> ValidationReport:
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
+def _require_semicoherent(table: TruthTable) -> None:
+    report = validate_semicoherent(table)
+    if not report.ok:
+        raise NotSemicoherentError("; ".join(report.violations))
+
+
 def zeta_transform(form: MultilinearForm, *, max_n: "int | None" = None) -> TruthTable:
     """Evaluate the form on every subset: value(A) = sum of coeff(B) over B inside A.
 
     This inverts :func:`mobius_transform`. Raises NotStructureFunctionError if
     any subset sum leaves {0, 1}, naming the first offending subset.
     """
-    limit = N_MAX if max_n is None else max_n
-    if form.n > limit:
-        raise CapacityError(f"n={form.n} exceeds max_n={limit}")
-    n = form.n
-    total = 1 << n
+    _check_max_n(form.n, max_n)
+    # A genuine form has |coeff(A)| <= 2^(|A| - 1), so its magnitudes sum below
+    # 3^n < 2^39 for n <= 24 and int64 is exact. Only coefficients of a form
+    # about to be rejected can reach the object-dtype (Python integer) pass.
     magnitude = sum(abs(c) for c in form.coeffs.values())
-    if magnitude < _INT64_SAFE:
-        arr = np.zeros(total, dtype=np.int64)
-        for mask, coeff in form.coeffs.items():
-            arr[mask] = coeff
-        _zeta_inplace(arr, n)
-        bad = (arr != 0) & (arr != 1)
-        if bad.any():
-            m = int(np.argmax(bad))
-            raise NotStructureFunctionError(
-                f"value {int(arr[m])} at subset {_set_str(m)} is not in {{0, 1}}"
-            )
-        bits = _pack_values(arr)
-    else:
-        values = [0] * total
-        for mask, coeff in form.coeffs.items():
-            values[mask] = coeff
-        _zeta_list(values, n)
-        bits = 0
-        for m, v in enumerate(values):
-            if v not in (0, 1):
-                raise NotStructureFunctionError(
-                    f"value {v} at subset {_set_str(m)} is not in {{0, 1}}"
-                )
-            if v:
-                bits |= 1 << m
-    return TruthTable(n=n, bits=bits)
+    arr = np.zeros(1 << form.n, dtype=np.int64 if magnitude < _INT64_SAFE else object)
+    for mask, coeff in form.coeffs.items():
+        arr[mask] = coeff
+    _lattice_pass(arr, form.n, +1)
+    bad = (arr != 0) & (arr != 1)
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise NotStructureFunctionError(
+            f"value {int(arr[m])} at subset {_set_str(m)} is not in {{0, 1}}"
+        )
+    return TruthTable(n=form.n, bits=_pack_values(arr))
 
 
 def mobius_transform(table: TruthTable, *, max_n: "int | None" = None) -> MultilinearForm:
     """Coefficients of the unique multilinear polynomial matching the table.
 
-    coeff(A) = sum over B inside A of (-1)^(|A| - |B|) * value(B). For 0/1
-    input every intermediate stays far below the int64 range, so the numpy
-    pass is always exact.
+    coeff(A) = sum over B inside A of (-1)^(|A| - |B|) * value(B).
     """
-    limit = N_MAX if max_n is None else max_n
-    if table.n > limit:
-        raise CapacityError(f"n={table.n} exceeds max_n={limit}")
+    _check_max_n(table.n, max_n)
+    # After the pass over k components each entry is an alternating sum of 0/1
+    # values over the subsets of at most k components, so it stays within
+    # +-2^(k-1) <= 2^23 for n <= 24 and int32 is exact.
     arr = _unpack_values(table.bits, table.n)
-    _mobius_inplace(arr, table.n)
+    _lattice_pass(arr, table.n, -1)
     nonzero = np.nonzero(arr)[0]
     coeffs = {int(m): int(arr[m]) for m in nonzero}
     return MultilinearForm(n=table.n, coeffs=coeffs)

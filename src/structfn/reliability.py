@@ -15,14 +15,13 @@ from __future__ import annotations
 from typing import Sequence
 
 from .core import (
-    CapacityError,
     DiagonalPoly,
     MultilinearForm,
     SetFamily,
     _iter_bit_positions,
     mobius_transform,
 )
-from .transform import _as_antichain, _resolve_caps, table_from_paths
+from .transform import _expands, _minimal_family, _require_members, table_from_paths
 
 __all__ = [
     "evaluate_reliability",
@@ -70,11 +69,9 @@ def evaluate_inclusion_exclusion(
     route to the same value as :func:`evaluate_reliability` on the expanded
     form. Exact in rational arithmetic.
     """
-    if not paths.members:
-        raise ValueError("at least one path set required")
+    _require_members(paths)
     _check_probabilities(p, paths.n)
-    r_limit, n_limit = _resolve_caps(max_r, max_n)
-    if paths.r <= r_limit:
+    if _expands(paths.r, paths, max_r, max_n):
         masks = paths.masks()
         total = 0
 
@@ -92,11 +89,7 @@ def evaluate_inclusion_exclusion(
 
         walk(0, 0, 0)
         return total
-    if paths.n <= n_limit:
-        return evaluate_reliability(mobius_transform(table_from_paths(paths)), p)
-    raise CapacityError(
-        f"family size {paths.r} exceeds max_r={r_limit} and n={paths.n} exceeds max_n={n_limit}"
-    )
+    return evaluate_reliability(mobius_transform(table_from_paths(paths)), p)
 
 
 def diagonal_coefficients(form: MultilinearForm) -> DiagonalPoly:
@@ -122,11 +115,8 @@ def diagonal_from_paths(
     this yields the dual system's diagonal. Non-minimal input is minimized
     with a warning; redundant members never change the result.
     """
-    family = _as_antichain(paths, "diagonal_from_paths")
-    if not family.members:
-        raise ValueError("at least one path set required")
-    r_limit, n_limit = _resolve_caps(max_r, max_n)
-    if family.r <= r_limit:
+    family = _minimal_family(paths, "diagonal_from_paths")
+    if _expands(family.r, family, max_r, max_n):
         masks = family.masks()
         d = [0] * family.n
 
@@ -140,8 +130,4 @@ def diagonal_from_paths(
 
         walk(0, 0, 0)
         return DiagonalPoly(n=family.n, d=tuple(d))
-    if family.n <= n_limit:
-        return diagonal_coefficients(mobius_transform(table_from_paths(family)))
-    raise CapacityError(
-        f"family size {family.r} exceeds max_r={r_limit} and n={family.n} exceeds max_n={n_limit}"
-    )
+    return diagonal_coefficients(mobius_transform(table_from_paths(family)))

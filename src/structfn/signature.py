@@ -21,12 +21,11 @@ from .core import (
     DiagonalPoly,
     InconsistentFormError,
     InvalidSignatureError,
-    NotSemicoherentError,
     SetFamily,
     SignatureVector,
     TruthTable,
+    _require_semicoherent,
     _true_count_by_size,
-    validate_semicoherent,
 )
 from .reliability import diagonal_from_paths
 
@@ -48,9 +47,7 @@ def signature_boland(table: TruthTable) -> SignatureVector:
     s_k = ones(n-k+1)/C(n, n-k+1) - ones(n-k)/C(n, n-k): the share of working
     subsets just before the k-th failure minus the share just after.
     """
-    report = validate_semicoherent(table)
-    if not report.ok:
-        raise NotSemicoherentError("; ".join(report.violations))
+    _require_semicoherent(table)
     n = table.n
     ones = _true_count_by_size(table)
     share = [Fraction(ones[j], comb(n, j)) for j in range(n + 1)]

@@ -23,19 +23,18 @@ from .core import (
     InconsistentFormError,
     MaskLike,
     MultilinearForm,
-    N_MAX,
-    NotSemicoherentError,
     SetFamily,
     SubsetMask,
     TruthTable,
+    _check_max_n,
     _component_patterns,
     _iter_bit_positions,
     _mask_bits,
     _minimal_true_bits,
+    _require_semicoherent,
     _reverse_bits,
     _subset_sort_key,
     mobius_transform,
-    validate_semicoherent,
 )
 
 __all__ = [
@@ -61,25 +60,41 @@ class NonMinimalFamilyWarning(UserWarning):
     """A family documented as minimal contained redundant supersets; they were dropped."""
 
 
-def _resolve_caps(max_r: "int | None", max_n: "int | None") -> tuple[int, int]:
-    return (R_MAX if max_r is None else max_r, N_MAX if max_n is None else max_n)
+def _require_members(family: SetFamily, noun: str = "path") -> None:
+    if not family.members:
+        raise ValueError(f"at least one {noun} set required")
 
 
-def _require_semicoherent(table: TruthTable) -> None:
-    report = validate_semicoherent(table)
-    if not report.ok:
-        raise NotSemicoherentError("; ".join(report.violations))
+def _minimal_family(
+    family: SetFamily, operation: str, noun: str = "path", stacklevel: int = 3
+) -> SetFamily:
+    """Minimize with a warning, then reject an empty family. The default
+    stacklevel points the warning at the caller of a public function."""
+    if not family.is_antichain():
+        warnings.warn(
+            f"{operation} expects a minimal family; redundant supersets were dropped",
+            NonMinimalFamilyWarning,
+            stacklevel=stacklevel,
+        )
+        family = family.minimized()
+    _require_members(family, noun)
+    return family
 
 
-def _as_antichain(family: SetFamily, operation: str) -> SetFamily:
-    if family.is_antichain():
-        return family
-    warnings.warn(
-        f"{operation} expects a minimal family; redundant supersets were dropped",
-        NonMinimalFamilyWarning,
-        stacklevel=3,
-    )
-    return family.minimized()
+def _expands(r: int, family: SetFamily, max_r: "int | None", max_n: "int | None") -> bool:
+    """True if a walk over r members of the family is within the expansion cap.
+
+    False if the dense table route must answer instead; CapacityError if that
+    route is barred too by the component cap.
+    """
+    r_limit = R_MAX if max_r is None else max_r
+    if r <= r_limit:
+        return True
+    try:
+        _check_max_n(family.n, max_n)
+    except CapacityError as exc:
+        raise CapacityError(f"family size {family.r} exceeds max_r={r_limit} and {exc}") from None
+    return False
 
 
 def dualize_table(table: TruthTable) -> TruthTable:
@@ -121,11 +136,8 @@ def table_from_paths(paths: SetFamily, *, max_n: "int | None" = None) -> TruthTa
     Redundant (non-minimal) members are absorbed silently: a superset of
     another path changes nothing. The result is always semicoherent.
     """
-    _, n_limit = _resolve_caps(None, max_n)
-    if paths.n > n_limit:
-        raise CapacityError(f"n={paths.n} exceeds max_n={n_limit}")
-    if not paths.members:
-        raise ValueError("at least one path set required")
+    _check_max_n(paths.n, max_n)
+    _require_members(paths)
     patterns = _component_patterns(paths.n)
     full = (1 << (1 << paths.n)) - 1
     bits = 0
@@ -143,8 +155,7 @@ def table_from_cuts(cuts: SetFamily, *, max_n: "int | None" = None) -> TruthTabl
     Built as the dual of the table whose paths are the given cuts; redundant
     members are absorbed silently, as in :func:`table_from_paths`.
     """
-    if not cuts.members:
-        raise ValueError("at least one cut set required")
+    _require_members(cuts, "cut")
     return dualize_table(table_from_paths(cuts, max_n=max_n))
 
 
@@ -168,6 +179,16 @@ def _formation_signs(masks: Sequence[int]) -> dict[int, int]:
     return acc
 
 
+def _simple_form(
+    family: SetFamily, operation: str, noun: str, max_r: "int | None", max_n: "int | None"
+) -> MultilinearForm:
+    # Both public expansions keep their own def, so messages and profiles name each.
+    family = _minimal_family(family, operation, noun, stacklevel=4)
+    if _expands(family.r, family, max_r, max_n):
+        return MultilinearForm(n=family.n, coeffs=_formation_signs(family.masks()))
+    return mobius_transform(table_from_paths(family))
+
+
 def simple_form_from_paths(
     paths: SetFamily, *, max_r: "int | None" = None, max_n: "int | None" = None
 ) -> MultilinearForm:
@@ -178,17 +199,7 @@ def simple_form_from_paths(
     resolved before the form is returned. Non-minimal input is minimized with
     a warning first (the result would be the same either way).
     """
-    family = _as_antichain(paths, "simple_form_from_paths")
-    if not family.members:
-        raise ValueError("at least one path set required")
-    r_limit, n_limit = _resolve_caps(max_r, max_n)
-    if family.r <= r_limit:
-        return MultilinearForm(n=family.n, coeffs=_formation_signs(family.masks()))
-    if family.n <= n_limit:
-        return mobius_transform(table_from_paths(family))
-    raise CapacityError(
-        f"family size {family.r} exceeds max_r={r_limit} and n={family.n} exceeds max_n={n_limit}"
-    )
+    return _simple_form(paths, "simple_form_from_paths", "path", max_r, max_n)
 
 
 def dual_simple_form_from_cuts(
@@ -199,17 +210,7 @@ def dual_simple_form_from_cuts(
     The cuts are the dual's minimal path sets, so the same inclusion-exclusion
     over subfamily unions applies to them verbatim.
     """
-    family = _as_antichain(cuts, "dual_simple_form_from_cuts")
-    if not family.members:
-        raise ValueError("at least one cut set required")
-    r_limit, n_limit = _resolve_caps(max_r, max_n)
-    if family.r <= r_limit:
-        return MultilinearForm(n=family.n, coeffs=_formation_signs(family.masks()))
-    if family.n <= n_limit:
-        return mobius_transform(table_from_paths(family))
-    raise CapacityError(
-        f"family size {family.r} exceeds max_r={r_limit} and n={family.n} exceeds max_n={n_limit}"
-    )
+    return _simple_form(cuts, "dual_simple_form_from_cuts", "cut", max_r, max_n)
 
 
 def paths_from_simple_form(form: MultilinearForm) -> SetFamily:
@@ -244,9 +245,7 @@ def cuts_from_paths(paths: SetFamily, *, max_n: "int | None" = None) -> SetFamil
     exercises the algebraic route end to end, including the check that every
     minimal dual monomial carries coefficient +1.
     """
-    family = _as_antichain(paths, "cuts_from_paths")
-    if not family.members:
-        raise ValueError("at least one path set required")
+    family = _minimal_family(paths, "cuts_from_paths")
     dual_table = dualize_table(table_from_paths(family, max_n=max_n))
     return paths_from_simple_form(mobius_transform(dual_table))
 
@@ -264,17 +263,10 @@ def formation_balance(
     the subset, odd sizes minus even sizes. This equals the subset's
     coefficient in the simple form.
     """
-    family = _as_antichain(paths, "formation_balance")
-    if not family.members:
-        raise ValueError("at least one path set required")
+    family = _minimal_family(paths, "formation_balance")
     target = _mask_bits(subset, family.n)
-    r_limit, n_limit = _resolve_caps(max_r, max_n)
     # Members not inside the target cannot appear in a formation of it.
     relevant = [m for m in family.masks() if m & ~target == 0]
-    if len(relevant) <= r_limit:
+    if _expands(len(relevant), family, max_r, max_n):
         return _formation_signs(relevant).get(target, 0)
-    if family.n <= n_limit:
-        return mobius_transform(table_from_paths(family)).coefficient(target)
-    raise CapacityError(
-        f"family size {family.r} exceeds max_r={r_limit} and n={family.n} exceeds max_n={n_limit}"
-    )
+    return mobius_transform(table_from_paths(family)).coefficient(target)

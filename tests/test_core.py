@@ -86,6 +86,10 @@ class TestTruthTable:
         with pytest.raises(ValueError, match="expected 8 values"):
             TruthTable.from_values("0101", n=3)
 
+    def test_empty_values(self):
+        with pytest.raises(ValueError, match=r"^a table needs 2\^n values for some n >= 1"):
+            TruthTable.from_values("")
+
     def test_phi_out_of_range(self):
         t = TruthTable.from_values("0111")
         with pytest.raises(ValueError):
@@ -185,6 +189,25 @@ class TestZetaTransform:
         with pytest.raises(CapacityError):
             zeta_transform(MultilinearForm(n=3, coeffs={}), max_n=2)
 
+    @pytest.mark.parametrize(
+        ("n", "coeffs", "message"),
+        [
+            (2, {0b01: 1 << 62}, f"value {1 << 62} at subset {{1}} is not in {{0, 1}}"),
+            (2, {0b10: -(1 << 70)}, f"value {-(1 << 70)} at subset {{2}} is not in {{0, 1}}"),
+            # The smallest key is fine; {2} is the first subset whose sum leaves {0, 1}.
+            (
+                3,
+                {0b001: 1, 0b010: 1 << 62, 0b110: -(1 << 62)},
+                f"value {1 << 62} at subset {{2}} is not in {{0, 1}}",
+            ),
+        ],
+    )
+    def test_rejects_magnitudes_beyond_int64(self, n, coeffs, message):
+        # Magnitudes summing to 2^62 or more take the Python-integer pass.
+        with pytest.raises(NotStructureFunctionError) as excinfo:
+            zeta_transform(MultilinearForm(n=n, coeffs=coeffs))
+        assert str(excinfo.value) == message
+
 
 class TestMobiusTransform:
     def test_bridge_table_gives_bridge_form(self):
@@ -208,6 +231,19 @@ class TestMobiusTransform:
                 for m in range(4)
             ]
             assert values == [table.phi(m) for m in range(4)]
+
+    def test_parity_table_reaches_the_coefficient_bound(self):
+        # phi(A) = |A| mod 2 gives c(A) = (-1)^(|A|+1) * 2^(|A|-1), the largest
+        # magnitudes any 0/1 table produces.
+        n = 16
+        bits = sum(1 << m for m in range(1 << n) if m.bit_count() & 1)
+        table = TruthTable(n=n, bits=bits)
+        form = mobius_transform(table)
+        expected = {
+            m: (-1) ** (m.bit_count() + 1) * 2 ** (m.bit_count() - 1) for m in range(1, 1 << n)
+        }
+        assert form.coeffs == expected
+        assert zeta_transform(form) == table
 
 
 class TestBitHelpers:

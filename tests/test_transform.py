@@ -1,5 +1,7 @@
 """Representation conversions: dual, families, expansions, extraction."""
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import (
@@ -20,11 +22,14 @@ from structfn import (
     MultilinearForm,
     NonMinimalFamilyWarning,
     NotSemicoherentError,
+    SetFamily,
     SubsetMask,
     TruthTable,
     cuts_from_paths,
+    diagonal_from_paths,
     dual_simple_form_from_cuts,
     dualize_table,
+    evaluate_inclusion_exclusion,
     formation_balance,
     minimal_cut_sets,
     minimal_path_sets,
@@ -56,6 +61,19 @@ ADJACENT_DUAL_FORM = (
     ((1, 2, 3), -1),
     ((2, 3, 4), -1),
 )
+
+
+# Every routine that walks the 2^r subfamilies of a family and falls back to
+# the table route above max_r, called with the family as its first argument.
+ROUTED = {
+    "simple_form_from_paths": simple_form_from_paths,
+    "dual_simple_form_from_cuts": dual_simple_form_from_cuts,
+    "formation_balance": lambda fam, **caps: formation_balance(fam, (1 << fam.n) - 1, **caps),
+    "evaluate_inclusion_exclusion": lambda fam, **caps: evaluate_inclusion_exclusion(
+        fam, (Fraction(1, 2),) * fam.n, **caps
+    ),
+    "diagonal_from_paths": diagonal_from_paths,
+}
 
 
 def bridge_table():
@@ -236,3 +254,57 @@ class TestFormationBalance:
         form = mobius_transform(bridge_table())
         for mask in range(1 << BRIDGE_N):
             assert formation_balance(paths, mask) == form.coefficient(mask)
+
+
+class TestRoutePolicy:
+    @pytest.mark.parametrize("name", ROUTED)
+    def test_fallback_route_above_max_r(self, name):
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        assert ROUTED[name](paths, max_r=2) == ROUTED[name](paths)
+
+    @pytest.mark.parametrize("name", ROUTED)
+    def test_capacity_error_when_both_caps_exceeded(self, name):
+        with pytest.raises(CapacityError) as excinfo:
+            ROUTED[name](family(BRIDGE_PATHS, BRIDGE_N), max_r=2, max_n=2)
+        assert str(excinfo.value) == "family size 4 exceeds max_r=2 and n=5 exceeds max_n=2"
+
+    def test_formation_balance_caps_only_members_inside_target(self):
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        target = SubsetMask.from_components((1, 3, 4, 5), n=5)  # holds {1,4} and {1,3,5}
+        expected = formation_balance(paths, target)
+        assert formation_balance(paths, target, max_r=2, max_n=2) == expected
+        with pytest.raises(CapacityError) as excinfo:
+            formation_balance(paths, target, max_r=1, max_n=2)
+        assert str(excinfo.value) == "family size 4 exceeds max_r=1 and n=5 exceeds max_n=2"
+
+    @pytest.mark.parametrize(
+        ("call", "message"),
+        [
+            (simple_form_from_paths, "at least one path set required"),
+            (dual_simple_form_from_cuts, "at least one cut set required"),
+        ],
+    )
+    def test_empty_family(self, call, message):
+        with pytest.raises(ValueError) as excinfo:
+            call(SetFamily(n=2, members=()))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            simple_form_from_paths,
+            dual_simple_form_from_cuts,
+            formation_balance,
+            diagonal_from_paths,
+            cuts_from_paths,
+        ],
+    )
+    def test_non_minimal_warning_names_the_function_at_the_callers_line(self, call):
+        redundant = family([(1,), (1, 2)], 2)
+        args = (redundant, 0b11) if call is formation_balance else (redundant,)
+        with pytest.warns(NonMinimalFamilyWarning) as record:
+            call(*args)
+        assert str(record[0].message) == (
+            f"{call.__name__} expects a minimal family; redundant supersets were dropped"
+        )
+        assert record[0].filename == __file__

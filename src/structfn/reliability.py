@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .core import (
     DiagonalPoly,
     MultilinearForm,
@@ -21,7 +23,13 @@ from .core import (
     _iter_bit_positions,
     mobius_transform,
 )
-from .transform import _expands, _minimal_family, _require_members, table_from_paths
+from .transform import (
+    _expands,
+    _formation_signs,
+    _minimal_family,
+    _require_members,
+    table_from_paths,
+)
 
 __all__ = [
     "evaluate_reliability",
@@ -29,6 +37,10 @@ __all__ = [
     "diagonal_coefficients",
     "diagonal_from_paths",
 ]
+
+# The float inclusion-exclusion walk computes its leaves 2^14 at a time
+# (128 KiB of float64 terms), whatever the family size.
+_IE_BLOCK_BITS = 14
 
 
 def _check_probabilities(p: Sequence, n: int) -> None:
@@ -55,6 +67,50 @@ def evaluate_reliability(form: MultilinearForm, p: Sequence):
     return total
 
 
+def _subfamily_unions(masks: Sequence[int]) -> "tuple[np.ndarray, np.ndarray]":
+    """Union and odd size of every subfamily, in walk order.
+
+    Leaf j takes member i when bit len(masks) - 1 - i of j is set, so the
+    first member varies slowest, as in the recursive walk. Masks have at most
+    N_MAX = 24 bits, so int64 holds every union.
+    """
+    unions = np.zeros(1, dtype=np.int64)
+    odd = np.zeros(1, dtype=bool)
+    for m in reversed(masks):
+        unions = np.concatenate((unions, unions | m))
+        odd = np.concatenate((odd, ~odd))
+    return unions, odd
+
+
+def _float_inclusion_exclusion(masks: Sequence[int], p: Sequence[float]) -> float:
+    """The inclusion-exclusion walk for float p, a block of leaves at a time.
+
+    The last min(14, r) members vary inside a block and the others pick it. Each
+    leaf's term starts at +-1.0 and is multiplied by p_i in ascending
+    component order, and the terms are summed one by one in walk order from
+    0.0: the same float operations in the same order as the recursive walk,
+    so the result is bit-identical to it.
+    """
+    split = len(masks) - min(_IE_BLOCK_BITS, len(masks))
+    tail_unions, tail_odd = _subfamily_unions(masks[split:])
+    tail_signs = np.where(tail_odd, 1.0, -1.0)
+    tail_cover = int(tail_unions[-1])
+    in_tail = {i: (tail_unions >> i & 1).astype(bool) for i in _iter_bit_positions(tail_cover)}
+    head_unions, head_odd = _subfamily_unions(masks[:split])
+    total = np.float64(0.0)
+    for block, (head, odd) in enumerate(zip(head_unions.tolist(), head_odd.tolist())):
+        term = -tail_signs if odd else tail_signs.copy()
+        for i in _iter_bit_positions(head | tail_cover):
+            if head >> i & 1:
+                term *= p[i]
+            else:
+                np.multiply(term, p[i], out=term, where=in_tail[i])
+        if block == 0:
+            term = term[1:]  # leaf 0 is the empty subfamily
+        total = np.cumsum(np.concatenate(([total], term)))[-1]
+    return float(total)
+
+
 def evaluate_inclusion_exclusion(
     paths: SetFamily,
     p: Sequence,
@@ -68,11 +124,17 @@ def evaluate_inclusion_exclusion(
     no cancellation is performed before summing, so this is an independent
     route to the same value as :func:`evaluate_reliability` on the expanded
     form. Exact in rational arithmetic.
+
+    When every p_i is a Python float, the walk runs on numpy a block of
+    subfamilies at a time; its terms and summation order are unchanged, so
+    the value is the same float to the last bit.
     """
     _require_members(paths)
     _check_probabilities(p, paths.n)
     if _expands(paths.r, paths, max_r, max_n):
         masks = paths.masks()
+        if all(type(value) is float for value in p):
+            return _float_inclusion_exclusion(masks, p)
         total = 0
 
         def walk(idx: int, union: int, size: int) -> None:
@@ -117,17 +179,8 @@ def diagonal_from_paths(
     """
     family = _minimal_family(paths, "diagonal_from_paths")
     if _expands(family.r, family, max_r, max_n):
-        masks = family.masks()
         d = [0] * family.n
-
-        def walk(idx: int, union: int, size: int) -> None:
-            if idx == len(masks):
-                if size:
-                    d[union.bit_count() - 1] += 1 if size & 1 else -1
-                return
-            walk(idx + 1, union, size)
-            walk(idx + 1, union | masks[idx], size + 1)
-
-        walk(0, 0, 0)
+        for union, count in _formation_signs(family.masks()).items():
+            d[union.bit_count() - 1] += count
         return DiagonalPoly(n=family.n, d=tuple(d))
     return diagonal_coefficients(mobius_transform(table_from_paths(family)))

@@ -7,8 +7,10 @@ inclusion-minimal families back out of tables or forms, dualizing, and
 expanding families into simple forms by inclusion-exclusion over subfamily
 unions.
 
-Expansion routines enumerate the 2^r subfamilies of an r-member family. When
-r exceeds the expansion cap they fall back to the dense table route, which is
+Forms, diagonals and formation balances of an r-member family come from one
+pass over the set L of its subfamily unions, doing work r * |L| <= 2^(r+1);
+only inclusion-exclusion reliability enumerates all 2^r subfamilies. When r
+exceeds the expansion cap they fall back to the dense table route, which is
 bounded by the component cap instead; only when both caps are exceeded do
 they raise :class:`~structfn.core.CapacityError`.
 """
@@ -17,6 +19,8 @@ from __future__ import annotations
 
 import warnings
 from typing import Sequence
+
+import numpy as np
 
 from .core import (
     CapacityError,
@@ -52,7 +56,7 @@ __all__ = [
     "formation_balance",
 ]
 
-# Inclusion-exclusion expansions enumerate 2^r subfamilies.
+# Largest family that expansions take before the table route answers instead.
 R_MAX = 24
 
 
@@ -110,6 +114,22 @@ def dualize_table(table: TruthTable) -> TruthTable:
     return TruthTable(n=table.n, bits=~reversed_bits & full)
 
 
+_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
+
+
+def _table_bit_positions(bits: int, width: int) -> list[int]:
+    """Set bit positions of a ``width``-bit table integer, ascending.
+
+    Linear in the width: numpy finds the nonzero bytes and only those are
+    expanded, where :func:`_iter_bit_positions` copies the whole integer per bit.
+    """
+    raw = bits.to_bytes((width + 7) // 8, "little")
+    positions: list[int] = []
+    for index in np.flatnonzero(np.frombuffer(raw, dtype=np.uint8)).tolist():
+        positions.extend(8 * index + j for j in _BYTE_BITS[raw[index]])
+    return positions
+
+
 def minimal_path_sets(table: TruthTable) -> SetFamily:
     """The inclusion-minimal subsets on which the system works.
 
@@ -118,7 +138,8 @@ def minimal_path_sets(table: TruthTable) -> SetFamily:
     """
     _require_semicoherent(table)
     min_bits = _minimal_true_bits(table.bits, table.n)
-    members = tuple(SubsetMask(bits=m, n=table.n) for m in _iter_bit_positions(min_bits))
+    positions = _table_bit_positions(min_bits, 1 << table.n)
+    members = tuple(SubsetMask(bits=m, n=table.n) for m in positions)
     return SetFamily(n=table.n, members=members)
 
 
@@ -163,20 +184,22 @@ def _formation_signs(masks: Sequence[int]) -> dict[int, int]:
     """For each subset U, the signed count of nonempty subfamilies with union U.
 
     Odd-size subfamilies count +1 and even-size ones -1; by inclusion-exclusion
-    these are exactly the multilinear coefficients of the union system.
+    these are exactly the multilinear coefficients of the union system. Only
+    nonzero counts are returned.
+
+    One pass over the union closure L instead of all 2^r subfamilies: adding
+    member m gives every subfamily counted so far, with union U, a twin with m
+    added, of opposite sign and union U | m; {m} alone counts +1. The step
+    reads a snapshot of the counts, so an entry updated earlier in the same
+    step is not extended twice. The work is the summed dictionary size, at
+    most r * |L| <= 2^(r+1).
     """
     acc: dict[int, int] = {}
-
-    def walk(idx: int, union: int, size: int) -> None:
-        if idx == len(masks):
-            if size:
-                acc[union] = acc.get(union, 0) + (1 if size & 1 else -1)
-            return
-        walk(idx + 1, union, size)
-        walk(idx + 1, union | masks[idx], size + 1)
-
-    walk(0, 0, 0)
-    return acc
+    for m in masks:
+        for u, c in list(acc.items()):
+            acc[u | m] = acc.get(u | m, 0) - c
+        acc[m] = acc.get(m, 0) + 1
+    return {u: c for u, c in acc.items() if c}
 
 
 def _simple_form(

@@ -91,3 +91,44 @@ def random_antichain(rng: random.Random, max_n: int = 10, max_r: int = 10) -> Se
     reduced = SetFamily.from_sets(unique, n=n).minimized()
     members = reduced.members[:max_r]
     return SetFamily(n=n, members=members)
+
+
+# The ten minimal path sets of the n=20 shape in the benchmark's lattice workload.
+LATTICE_N20_PATHS = (
+    (2, 9, 14, 17), (10, 12, 13, 16), (5, 7, 10, 17, 18), (9, 18, 20),
+    (3, 4, 5, 10, 20), (4, 11, 12, 16, 18), (7, 11, 16, 18), (1, 2, 9, 17),
+    (1, 13, 16), (3, 7, 8, 11),
+)
+
+
+def kernel_families() -> list[SetFamily]:
+    """Families on which the union-closure kernel is checked against the 2^r walk.
+
+    240 seeded random antichains with n <= 12 and r <= 14, sixteen
+    singletons at n = 16, whose 2^16 unions are all distinct, and the n = 20
+    lattice shape.
+    """
+    rng = random.Random(20140102)
+    families = []
+    for _ in range(240):
+        n = rng.randint(2, 12)
+        families.append(greedy_antichain(rng, n, rng.randint(1, 14), 1, max(1, n // 2)))
+    families.append(parallel_paths(16))
+    families.append(SetFamily.from_sets(LATTICE_N20_PATHS, n=20))
+    return families
+
+
+def greedy_antichain(rng: random.Random, n: int, r: int, low: int, high: int) -> SetFamily:
+    """A seeded antichain of random low..high-component members.
+
+    Draws are kept when incomparable with every kept member, until r are kept
+    or 50 * r draws are spent.
+    """
+    members: list[int] = []
+    for _ in range(50 * r):
+        mask = sum(1 << c for c in rng.sample(range(n), rng.randint(low, high)))
+        if all(mask & ~m and m & ~mask for m in members):
+            members.append(mask)
+            if len(members) == r:
+                break
+    return SetFamily.from_sets([[i + 1 for i in range(n) if m >> i & 1] for m in members], n=n)

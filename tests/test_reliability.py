@@ -1,7 +1,9 @@
 """Reliability polynomials: evaluation routes and diagonal coefficients."""
 
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -13,7 +15,9 @@ from conftest import (
     OVERLAP_PAIRS,
     PAIRS_N,
     family,
+    greedy_antichain,
     k_of_n_table,
+    kernel_families,
 )
 
 from structfn import (
@@ -27,12 +31,49 @@ from structfn import (
     simple_form_from_paths,
     table_from_paths,
 )
+from structfn.core import _iter_bit_positions
 
 HALF = Fraction(1, 2)
 
 
 def bridge_form():
     return mobius_transform(table_from_paths(family(BRIDGE_PATHS, BRIDGE_N)))
+
+
+def walk_inclusion_exclusion(masks, p):
+    """The recursive inclusion-exclusion walk that float input no longer takes."""
+    total = 0
+
+    def walk(idx, union, size):
+        nonlocal total
+        if idx == len(masks):
+            if size:
+                term = 1 if size & 1 else -1
+                for i in _iter_bit_positions(union):
+                    term = term * p[i]
+                total += term
+            return
+        walk(idx + 1, union, size)
+        walk(idx + 1, union | masks[idx], size + 1)
+
+    walk(0, 0, 0)
+    return total
+
+
+def walk_diagonal(masks, n):
+    """The recursive diagonal walk that the union-closure kernel replaced."""
+    d = [0] * n
+
+    def walk(idx, union, size):
+        if idx == len(masks):
+            if size:
+                d[union.bit_count() - 1] += 1 if size & 1 else -1
+            return
+        walk(idx + 1, union, size)
+        walk(idx + 1, union | masks[idx], size + 1)
+
+    walk(0, 0, 0)
+    return tuple(d)
 
 
 class TestEvaluateReliability:
@@ -100,6 +141,64 @@ class TestInclusionExclusionRoute:
             )
 
 
+class TestFloatInclusionExclusion:
+    """Float p takes the blocked numpy walk, which must equal the recursive walk bit for bit."""
+
+    @pytest.mark.parametrize("r", [1, 13, 14, 15, 18])
+    def test_bit_identical_to_the_walk(self, r):
+        rng = random.Random(r)
+        paths = greedy_antichain(rng, 16, r, 3, 6)
+        assert paths.r == r
+        for p in (
+            [rng.uniform(0.05, 0.95) for _ in range(16)],
+            [rng.choice((-0.0, 0.0, 1.0, 5e-324, rng.random())) for _ in range(16)],
+        ):
+            value = evaluate_inclusion_exclusion(paths, p)
+            expected = walk_inclusion_exclusion(paths.masks(), p)
+            assert type(value) is float
+            assert value == expected
+            assert repr(value) == repr(expected)
+
+    def test_negative_zero_probabilities(self):
+        bridge = family(BRIDGE_PATHS, BRIDGE_N)
+        for paths, p in (
+            (bridge, (-0.0,) * 5),
+            (bridge, (-0.0, 0.5, -0.0, 1.0, 0.25)),
+            (family([(1,), (2,), (3,)], 3), (-0.0,) * 3),
+        ):
+            value = evaluate_inclusion_exclusion(paths, p)
+            assert repr(value) == repr(walk_inclusion_exclusion(paths.masks(), p))
+        # The walk's running sum starts at the integer 0, and 0 + -0.0 is 0.0.
+        assert repr(evaluate_inclusion_exclusion(family([(1,)], 1), (-0.0,))) == "0.0"
+
+    def test_integer_points_give_the_table(self):
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        table = table_from_paths(paths)
+        for mask in range(1 << BRIDGE_N):
+            value = evaluate_inclusion_exclusion(paths, [(mask >> i) & 1 for i in range(5)])
+            assert type(value) is int
+            assert value == table.phi(mask)
+
+    def test_fractions_stay_exact(self):
+        p = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), Fraction(4, 5), Fraction(1, 7))
+        value = evaluate_inclusion_exclusion(family(BRIDGE_PATHS, BRIDGE_N), p)
+        assert type(value) is Fraction
+        assert value == evaluate_reliability(bridge_form(), p)
+
+    def test_numpy_and_mixed_input_keep_the_walk(self):
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        for p in (
+            np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
+            (0.1, Fraction(1, 5), 0.3, 0.4, 0.5),
+            (0.1, 1, 0.3, 0.4, 0.5),
+        ):
+            value = evaluate_inclusion_exclusion(paths, p)
+            expected = walk_inclusion_exclusion(paths.masks(), p)
+            assert type(value) is type(expected)
+            assert repr(value) == repr(expected)
+        assert type(evaluate_inclusion_exclusion(paths, np.full(5, 0.5))) is np.float64
+
+
 class TestDiagonalCoefficients:
     def test_bridge(self):
         assert diagonal_coefficients(bridge_form()).d == (0, 2, 2, -5, 2)
@@ -156,6 +255,10 @@ class TestDiagonalFromPaths:
     def test_fallback_route_above_max_r(self):
         fam = family(BRIDGE_PATHS, BRIDGE_N)
         assert diagonal_from_paths(fam, max_r=2) == diagonal_from_paths(fam)
+
+    def test_matches_the_subfamily_walk(self):
+        for fam in kernel_families():
+            assert diagonal_from_paths(fam).d == walk_diagonal(fam.masks(), fam.n), str(fam)
 
     def test_capacity_error_when_both_caps_exceeded(self):
         with pytest.raises(CapacityError):

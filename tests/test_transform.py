@@ -1,5 +1,6 @@
 """Representation conversions: dual, families, expansions, extraction."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,11 @@ from conftest import (
     ADJACENT_PAIRS_N,
     BRIDGE_N,
     BRIDGE_PATHS,
+    LATTICE_N20_PATHS,
     coproduct_table,
     cut_product_table,
     family,
+    kernel_families,
     parallel_paths,
     series_paths,
 )
@@ -39,6 +42,7 @@ from structfn import (
     table_from_cuts,
     table_from_paths,
 )
+from structfn.core import _iter_bit_positions
 from structfn.oracle import (
     enumerate_semicoherent,
     oracle_dual_table,
@@ -46,6 +50,7 @@ from structfn.oracle import (
     oracle_minimal_cut_sets,
     oracle_minimal_path_sets,
 )
+from structfn.transform import _formation_signs, _table_bit_positions
 
 ADJACENT_FORM = (
     ((1, 2), 1),
@@ -63,8 +68,8 @@ ADJACENT_DUAL_FORM = (
 )
 
 
-# Every routine that walks the 2^r subfamilies of a family and falls back to
-# the table route above max_r, called with the family as its first argument.
+# Every routine that expands a family and falls back to the table route above
+# max_r, called with the family as its first argument.
 ROUTED = {
     "simple_form_from_paths": simple_form_from_paths,
     "dual_simple_form_from_cuts": dual_simple_form_from_cuts,
@@ -78,6 +83,22 @@ ROUTED = {
 
 def bridge_table():
     return table_from_paths(family(BRIDGE_PATHS, BRIDGE_N))
+
+
+def walk_formation_signs(masks):
+    """The recursive 2^r subfamily walk that the union-closure kernel replaced."""
+    acc = {}
+
+    def walk(idx, union, size):
+        if idx == len(masks):
+            if size:
+                acc[union] = acc.get(union, 0) + (1 if size & 1 else -1)
+            return
+        walk(idx + 1, union, size)
+        walk(idx + 1, union | masks[idx], size + 1)
+
+    walk(0, 0, 0)
+    return acc
 
 
 class TestDualize:
@@ -121,6 +142,19 @@ class TestMinimalSets:
         for table in enumerate_semicoherent(3):
             assert minimal_path_sets(table) == oracle_minimal_path_sets(table)
             assert minimal_cut_sets(table) == oracle_minimal_cut_sets(table)
+
+    def test_table_bit_scan_matches_bitwise_iteration(self):
+        rng = random.Random(7)
+        for width in (1, 2, 4, 7, 8, 9, 64, 1000, 1 << 12):
+            for density in (0.0, 0.01, 0.5, 1.0):
+                bits = sum(1 << m for m in range(width) if rng.random() < density)
+                assert _table_bit_positions(bits, width) == list(_iter_bit_positions(bits))
+
+    def test_lattice_cuts_match_the_dual_form_route(self):
+        paths = family(LATTICE_N20_PATHS, 20)
+        cuts = minimal_cut_sets(table_from_paths(paths))
+        assert cuts.r == 203
+        assert cuts == cuts_from_paths(paths)
 
 
 class TestTableFromFamilies:
@@ -197,6 +231,28 @@ class TestSimpleFormExpansion:
         table = bridge_table()
         cuts = minimal_cut_sets(table)
         assert dual_simple_form_from_cuts(cuts) == mobius_transform(dualize_table(table))
+
+
+class TestUnionClosureKernel:
+    def test_matches_the_subfamily_walk(self):
+        for fam in kernel_families():
+            expected = {u: c for u, c in walk_formation_signs(fam.masks()).items() if c}
+            assert _formation_signs(fam.masks()) == expected, str(fam)
+
+    def test_singletons_reach_every_subset(self):
+        signs = _formation_signs(parallel_paths(16).masks())
+        assert len(signs) == (1 << 16) - 1
+        assert all(c == (-1) ** (u.bit_count() - 1) for u, c in signs.items())
+
+    def test_member_order_does_not_matter(self):
+        masks = family(LATTICE_N20_PATHS, 20).masks()
+        assert _formation_signs(masks[::-1]) == _formation_signs(masks)
+
+    def test_balances_match_the_walk_on_every_union(self):
+        paths = family(LATTICE_N20_PATHS, 20)
+        walk = walk_formation_signs(paths.masks())
+        for union, count in walk.items():
+            assert formation_balance(paths, union) == count
 
 
 class TestPathsFromSimpleForm:

@@ -379,8 +379,11 @@ def _run_reliability(system: SystemDoc, options: Options) -> Report:
     p = options.p
     if len(p) == 1:
         p = p * system.n
-    a = _analyze(system, options)
-    value = evaluate_reliability(a.form, p)
+    table = _realize_table(system, options.max_n)
+    _require_semicoherent(table)
+    paths = minimal_path_sets(table)
+    form = simple_form_from_paths(paths, max_r=options.max_r, max_n=options.max_n)
+    value = evaluate_reliability(form, p)
     rendered = str(value)
     lines = [f"n: {system.n}", f"reliability: {rendered}"]
     payload = {

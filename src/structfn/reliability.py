@@ -7,11 +7,20 @@ it to a one-variable polynomial in x, the diagonal, whose integer
 coefficients summarize the system size profile.
 
 All evaluation is type-transparent: Fraction inputs give exact rational
-results, floats give floats.
+results, floats give floats. When every p_i is an ``int`` or a ``Fraction``
+(exactly those types) and at least one is a ``Fraction``, both routes take
+the integer route: with p_i = a_i / d_i and D = prod d_i, each term becomes
+the integer numerator of its value over D, the numerators are summed, and
+one ``Fraction(total, D)`` is built at the end. The result is a ``Fraction``
+when a component the terms cover has a ``Fraction`` p_i, else the exact
+``int`` the plain loops give. Any other input (all ``int``, ``bool``, numpy
+scalars, floats, mixtures with floats) keeps the plain loops.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import prod
 from typing import Sequence
 
 import numpy as np
@@ -51,13 +60,56 @@ def _check_probabilities(p: Sequence, n: int) -> None:
             raise ValueError(f"p[{i}] = {value!r} outside [0, 1]")
 
 
+def _common_denominator(p: Sequence) -> "tuple[list[int], list[int], int] | None":
+    """Numerators a_i, denominators d_i and D = prod d_i of exact p, else None.
+
+    Only a sequence of ``int`` and ``Fraction`` values holding at least one
+    ``Fraction`` qualifies; ``bool`` and numpy integers do not.
+    """
+    if not any(type(value) is Fraction for value in p) or not all(
+        type(value) in (int, Fraction) for value in p
+    ):
+        return None
+    numerators = [value.numerator for value in p]
+    denominators = [value.denominator for value in p]
+    return numerators, denominators, prod(denominators)
+
+
+def _from_common_denominator(total: int, common: int, p: Sequence, covered: int):
+    """total / common, typed as the plain loops type it.
+
+    Their sum is a ``Fraction`` exactly when some term multiplies by a
+    ``Fraction`` p_i, that is when a covered component has one; otherwise
+    every covered d_i is 1 and ``common`` divides ``total``.
+    """
+    if any(type(p[i]) is Fraction for i in _iter_bit_positions(covered)):
+        return Fraction(total, common)
+    return total // common
+
+
 def evaluate_reliability(form: MultilinearForm, p: Sequence):
     """System reliability: sum of coeff(A) * prod_{i in A} p_i over the form's terms.
 
     p is indexed by component (p[0] belongs to component 1). On 0/1 input this
     reproduces the truth table, which pins the polynomial down uniquely.
+
+    Exact p holding a ``Fraction`` takes the integer route (see the module
+    docstring): term A contributes coeff(A) * D with d_i swapped for a_i on
+    each i in A, and the result type follows the plain loop's.
     """
     _check_probabilities(p, form.n)
+    exact = _common_denominator(p)
+    if exact is not None:
+        a, d, common = exact
+        total = 0
+        covered = 0
+        for mask, coeff in form.coeffs.items():
+            term = coeff * common
+            for i in _iter_bit_positions(mask):
+                term = term // d[i] * a[i]
+            total += term
+            covered |= mask
+        return _from_common_denominator(total, common, p, covered)
     total = 0
     for mask in sorted(form.coeffs):
         term = form.coeffs[mask]
@@ -111,6 +163,32 @@ def _float_inclusion_exclusion(masks: Sequence[int], p: Sequence[float]) -> floa
     return float(total)
 
 
+def _exact_inclusion_exclusion(
+    masks: Sequence[int], p: Sequence, a: Sequence[int], d: Sequence[int], common: int
+):
+    """The inclusion-exclusion walk in integer numerators over ``common``."""
+    total = 0
+
+    def walk(idx: int, union: int, size: int, value: int) -> None:
+        nonlocal total
+        if idx == len(masks):
+            if size:
+                total += value if size & 1 else -value
+            return
+        walk(idx + 1, union, size, value)
+        new = masks[idx] & ~union
+        if new:  # most deep nodes cover nothing new; skipping the bit loop halves r = 20
+            for i in _iter_bit_positions(new):
+                value = value // d[i] * a[i]
+        walk(idx + 1, union | new, size + 1, value)
+
+    walk(0, 0, 0, common)
+    covered = 0
+    for mask in masks:
+        covered |= mask
+    return _from_common_denominator(total, common, p, covered)
+
+
 def evaluate_inclusion_exclusion(
     paths: SetFamily,
     p: Sequence,
@@ -125,6 +203,11 @@ def evaluate_inclusion_exclusion(
     route to the same value as :func:`evaluate_reliability` on the expanded
     form. Exact in rational arithmetic.
 
+    Exact p holding a ``Fraction`` takes the integer route (see the module
+    docstring): the walk starts at D and, as a member newly covers component
+    i, divides the carried value by d_i and multiplies by a_i, exactly since
+    d_i is still a factor; every leaf still adds its own signed term.
+
     When every p_i is a Python float, the walk runs on numpy a block of
     subfamilies at a time; its terms and summation order are unchanged, so
     the value is the same float to the last bit.
@@ -135,6 +218,9 @@ def evaluate_inclusion_exclusion(
         masks = paths.masks()
         if all(type(value) is float for value in p):
             return _float_inclusion_exclusion(masks, p)
+        exact = _common_denominator(p)
+        if exact is not None:
+            return _exact_inclusion_exclusion(masks, p, *exact)
         total = 0
 
         def walk(idx: int, union: int, size: int) -> None:

@@ -2,14 +2,24 @@
 
 import io
 import json
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from conftest import BRIDGE_N, BRIDGE_PATHS, OVERLAP_PAIRS, PAIRS_N, family
+from conftest import BRIDGE_N, BRIDGE_PATHS, OVERLAP_PAIRS, PAIRS_N, family, greedy_antichain
 
-from structfn import CapacityError, MultilinearForm, mobius_transform, table_from_paths
+from structfn import (
+    CapacityError,
+    MultilinearForm,
+    evaluate_inclusion_exclusion,
+    evaluate_reliability,
+    mobius_transform,
+    simple_form_from_paths,
+    table_from_paths,
+)
 from structfn.cli import (
     EXIT_CAPACITY,
     EXIT_INPUT,
@@ -21,6 +31,10 @@ from structfn.cli import (
 
 BRIDGE_DOC = {"n": 5, "paths": [[1, 4], [2, 5], [1, 3, 5], [2, 3, 4]]}
 OVERLAP_DOC = {"n": 4, "paths": [[1, 2], [1, 3], [2, 3, 4]]}
+
+# Sixteen path sets on eighteen components, the largest shape of the exact benchmark.
+WIDE_PATHS = greedy_antichain(random.Random(18), 18, 16, 3, 6)
+WIDE_DOC = {"n": 18, "paths": [list(m.components()) for m in WIDE_PATHS.members]}
 
 
 def write_doc(tmp_path, doc, name="system.json"):
@@ -260,6 +274,45 @@ class TestReliability:
         rc = main(["reliability", "--p", "abc", write_doc(tmp_path, BRIDGE_DOC)])
         assert rc == EXIT_INPUT
         assert "cannot parse 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("exact", [True, False])
+    @pytest.mark.parametrize("doc", [BRIDGE_DOC, WIDE_DOC], ids=["bridge", "n18r16"])
+    def test_computes_only_what_it_prints(self, tmp_path, capsys, monkeypatch, doc, exact, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reliability prints nothing that needs cuts")
+
+        monkeypatch.setattr("structfn.cli.minimal_cut_sets", refuse)
+        monkeypatch.setattr("structfn.cli.dual_simple_form_from_cuts", refuse)
+        n = doc["n"]
+        paths = family(doc["paths"], n)
+        primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
+        if exact:
+            p = tuple(Fraction(k % (q - 1) + 1, q) for k, q in enumerate(primes[:n]))
+            value = evaluate_inclusion_exclusion(paths, p)
+            argv = ["--exact", "--p", ",".join(str(v) for v in p)]
+            payload_p, payload_value = [str(v) for v in p], str(value)
+        else:
+            p = tuple((k + 1) / (n + 2) for k in range(n))
+            value = evaluate_reliability(simple_form_from_paths(paths), p)
+            argv = ["--p", ",".join(repr(v) for v in p)]
+            payload_p, payload_value = list(p), value
+        rc = main(["reliability", *argv, "--format", fmt, write_doc(tmp_path, doc)])
+        assert rc == EXIT_OK
+        if fmt == "text":
+            expected = f"n: {n}\nreliability: {value}\n"
+        else:
+            payload = {"n": n, "p": payload_p, "reliability": payload_value}
+            expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected
+
+    def test_semicoherence_is_checked_before_the_probability_count(self, tmp_path, capsys):
+        doc = write_doc(tmp_path, {"n": 2, "table": "0110"})
+        rc = main(["reliability", "--p", "0.5,0.5,0.5", doc])
+        err = capsys.readouterr().err
+        assert rc == EXIT_INPUT
+        assert "monotonicity violated" in err
+        assert "component probabilities" not in err
 
 
 class TestVerify:

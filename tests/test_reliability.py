@@ -60,6 +60,38 @@ def walk_inclusion_exclusion(masks, p):
     return total
 
 
+def loop_reliability(form, p):
+    """The term loop that evaluate_reliability ran before the integer route."""
+    total = 0
+    for mask in sorted(form.coeffs):
+        term = form.coeffs[mask]
+        for i in _iter_bit_positions(mask):
+            term = term * p[i]
+        total += term
+    return total
+
+
+# Small prime denominators, and Mersenne primes above 2^64 so that no
+# fixed-width shortcut can pass the exact-route checks.
+SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+LARGE_PRIMES = (2**89 - 1, 2**107 - 1, 2**127 - 1)
+
+
+def exact_probabilities(rng, n):
+    """Seeded Fraction p: prime denominators, with 0, 1 and huge denominators mixed in."""
+    p = []
+    for _ in range(n):
+        kind = rng.randrange(8)
+        if kind == 0:
+            p.append(Fraction(0))
+        elif kind == 1:
+            p.append(Fraction(1))
+        else:
+            q = rng.choice(LARGE_PRIMES if kind == 2 else SMALL_PRIMES)
+            p.append(Fraction(rng.randint(1, q - 1), q))
+    return p
+
+
 def walk_diagonal(masks, n):
     """The recursive diagonal walk that the union-closure kernel replaced."""
     d = [0] * n
@@ -197,6 +229,100 @@ class TestFloatInclusionExclusion:
             assert type(value) is type(expected)
             assert repr(value) == repr(expected)
         assert type(evaluate_inclusion_exclusion(paths, np.full(5, 0.5))) is np.float64
+
+
+class TestExactIntegerRoute:
+    """Exact p holding a Fraction is summed in integer numerators over one denominator."""
+
+    def test_matches_the_walk_and_the_term_loop(self):
+        rng = random.Random(20141218)
+        families = kernel_families()
+        walked = 0
+        for fam in families:
+            p = exact_probabilities(rng, fam.n)
+            form = simple_form_from_paths(fam)
+            expected = loop_reliability(form, p)
+            value = evaluate_reliability(form, p)
+            assert type(value) is type(expected) and value == expected, str(fam)
+            via_paths = evaluate_inclusion_exclusion(fam, p)
+            assert type(via_paths) is type(expected) and via_paths == expected, str(fam)
+            # The Fraction walk costs seconds beyond 2^10 leaves; the term loop covers the rest.
+            if fam.r <= 10:
+                assert via_paths == walk_inclusion_exclusion(fam.masks(), p), str(fam)
+                walked += 1
+        assert len(families) >= 200 and walked >= 200
+
+    def test_all_fractions_give_a_fraction(self):
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        p = (Fraction(1), Fraction(0), Fraction(1), Fraction(1), Fraction(1))
+        for value in (evaluate_inclusion_exclusion(paths, p), evaluate_reliability(bridge_form(), p)):
+            assert type(value) is Fraction
+            assert value == 1
+
+    def test_all_int_vertices_give_the_table_as_int(self):
+        paths = family(OVERLAP_PAIRS, PAIRS_N)
+        table = table_from_paths(paths)
+        form = mobius_transform(table)
+        for mask in range(1 << PAIRS_N):
+            p = [(mask >> i) & 1 for i in range(PAIRS_N)]
+            for value in (evaluate_inclusion_exclusion(paths, p), evaluate_reliability(form, p)):
+                assert type(value) is int
+                assert value == table.phi(mask)
+
+    def test_int_and_fraction_on_covered_components_give_a_fraction(self):
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        p = (1, Fraction(1, 3), 0, 1, Fraction(2**127 - 2, 2**127 - 1))
+        expected = walk_inclusion_exclusion(paths.masks(), p)
+        assert type(expected) is Fraction
+        for value in (evaluate_inclusion_exclusion(paths, p), evaluate_reliability(bridge_form(), p)):
+            assert type(value) is Fraction
+            assert value == expected
+
+    def test_fractions_only_on_uncovered_components_give_an_int(self):
+        # Components 5 and 6 belong to no path set.
+        paths = family(((1, 2), (3, 4), (2, 3)), 6)
+        form = simple_form_from_paths(paths)
+        for mask in range(1 << 4):
+            p = [(mask >> i) & 1 for i in range(4)] + [Fraction(1, 3), Fraction(5, 2**89 - 1)]
+            expected = walk_inclusion_exclusion(paths.masks(), p)
+            assert type(expected) is int
+            for value in (evaluate_inclusion_exclusion(paths, p), evaluate_reliability(form, p)):
+                assert type(value) is int
+                assert value == expected
+
+    def test_other_input_types_keep_the_plain_loops(self):
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        form = bridge_form()
+        for p in (
+            (True, False, True, True, False),
+            (True, Fraction(1, 2), 1, 0, Fraction(1, 3)),
+            [np.int64(1), np.int64(0), np.int64(1), np.int64(0), np.int64(1)],
+            [np.int64(1), Fraction(1, 2), 1, 0, Fraction(1, 3)],
+            [np.float64(0.25), np.float64(0.5), np.float64(0.75), np.float64(0.5), np.float64(1)],
+            (0.1, Fraction(1, 5), 0.3, 1, 0.5),
+            (0.25, 1, 0.5, 0, 0.75),
+        ):
+            for value, expected in (
+                (evaluate_inclusion_exclusion(paths, p), walk_inclusion_exclusion(paths.masks(), p)),
+                (evaluate_reliability(form, p), loop_reliability(form, p)),
+            ):
+                assert type(value) is type(expected)
+                assert repr(value) == repr(expected)
+
+    def test_walk_needs_neither_the_kernel_nor_the_lattice(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the inclusion-exclusion walk must stay independent")
+
+        monkeypatch.setattr("structfn.reliability._formation_signs", refuse)
+        monkeypatch.setattr("structfn.reliability.mobius_transform", refuse)
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        p = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), Fraction(4, 5), Fraction(1, 7))
+        assert evaluate_inclusion_exclusion(paths, p) == walk_inclusion_exclusion(paths.masks(), p)
+        rng = random.Random(16)
+        wide = greedy_antichain(rng, 18, 16, 3, 6)
+        assert wide.r == 16
+        value = evaluate_inclusion_exclusion(wide, exact_probabilities(rng, 18), max_r=16)
+        assert type(value) is Fraction
 
 
 class TestDiagonalCoefficients:

@@ -2,8 +2,10 @@
 
 Reads a JSON system document (component count plus exactly one of paths,
 cuts, table, or simple_form), realizes the truth table, and reports the
-requested view of the system. Output is deterministic: families, terms, and
-JSON keys are always emitted in canonical order.
+requested view of the system. The table is validated once; each command then
+computes only the views it prints and builds only the output format asked
+for. Output is deterministic: families, terms, and JSON keys are always
+emitted in canonical order.
 
 Exit codes: 0 success, 1 input error, 2 capacity exceeded, 3 verification
 mismatch.
@@ -16,20 +18,24 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import oracle
 from .core import (
     CapacityError,
+    DiagonalPoly,
     MultilinearForm,
     N_MAX,
     SetFamily,
     SignatureVector,
-    SubsetMask,
     TruthTable,
+    _BYTE_LABELS,
     _check_max_n,
+    _mask_labels,
     _require_semicoherent,
+    _subset_sort_key,
     mobius_transform,
     zeta_transform,
 )
@@ -42,10 +48,11 @@ from .signature import (
 )
 from .transform import (
     R_MAX,
+    _minimal_paths,
+    _simple_form,
     dual_simple_form_from_cuts,
     dualize_table,
     minimal_cut_sets,
-    minimal_path_sets,
     simple_form_from_paths,
     table_from_cuts,
     table_from_paths,
@@ -208,54 +215,92 @@ def _realize_table(system: SystemDoc, max_n: "int | None") -> TruthTable:
     return zeta_transform(system.simple_form, max_n=max_n)
 
 
-@dataclass(frozen=True)
 class _Analysis:
-    table: TruthTable
-    paths: SetFamily
-    cuts: SetFamily
-    form: MultilinearForm
-    dual_form: MultilinearForm
-    diagonal: tuple[int, ...]
-    dual_diagonal: tuple[int, ...]
-    sig: SignatureVector
-    small: tuple[int, int, int, int]
+    """The views of one document's system, each computed on first use.
+
+    Construction realizes the table and checks semicoherence, once; after
+    that no view can fail. ``_realize_table`` has checked ``max_n``, so a
+    form whose family exceeds ``max_r`` falls back to the table instead of
+    raising, and the minimal path and cut families of a semicoherent table
+    are nonempty antichains.
+    """
+
+    def __init__(self, system: SystemDoc, options: Options) -> None:
+        self.table = _realize_table(system, options.max_n)
+        _require_semicoherent(self.table)
+        self._max_r = options.max_r
+        self._max_n = options.max_n
+
+    @cached_property
+    def dual_table(self) -> TruthTable:
+        return dualize_table(self.table)
+
+    @cached_property
+    def paths(self) -> SetFamily:
+        return _minimal_paths(self.table)
+
+    @cached_property
+    def cuts(self) -> SetFamily:
+        # The dual of a semicoherent table is semicoherent, and its minimal
+        # path sets are the minimal cut sets.
+        return _minimal_paths(self.dual_table)
+
+    @cached_property
+    def form(self) -> MultilinearForm:
+        return simple_form_from_paths(self.paths, max_r=self._max_r, max_n=self._max_n)
+
+    @cached_property
+    def dual_form(self) -> MultilinearForm:
+        # The cuts are the dual's minimal path sets, so the dual table is the
+        # table_from_paths(cuts) that the dense fallback would rebuild.
+        return _simple_form(
+            self.cuts,
+            dual_simple_form_from_cuts.__name__,
+            "cut",
+            self._max_r,
+            self._max_n,
+            table=self.dual_table,
+        )
+
+    @cached_property
+    def diagonal(self) -> DiagonalPoly:
+        return diagonal_coefficients(self.form)
+
+    @cached_property
+    def dual_diagonal(self) -> DiagonalPoly:
+        return diagonal_coefficients(self.dual_form)
+
+    @cached_property
+    def sig(self) -> SignatureVector:
+        return signature_from_diagonal(self.diagonal)
+
+    @cached_property
+    def small(self) -> tuple[int, int, int, int]:
+        d, dual_d = self.diagonal.d, self.dual_diagonal.d
+        d2 = d[1] if self.table.n >= 2 else 0
+        dual_d2 = dual_d[1] if self.table.n >= 2 else 0
+        return small_counts_from_coefficients(d[0], d2, dual_d[0], dual_d2)
 
 
-def _analyze(system: SystemDoc, options: Options) -> _Analysis:
-    table = _realize_table(system, options.max_n)
-    _require_semicoherent(table)
-    paths = minimal_path_sets(table)
-    cuts = minimal_cut_sets(table)
-    form = simple_form_from_paths(paths, max_r=options.max_r, max_n=options.max_n)
-    dual_form = dual_simple_form_from_cuts(cuts, max_r=options.max_r, max_n=options.max_n)
-    diag = diagonal_coefficients(form)
-    dual_diag = diagonal_coefficients(dual_form)
-    sig = signature_from_diagonal(diag)
-    d2 = diag.d[1] if table.n >= 2 else 0
-    dual_d2 = dual_diag.d[1] if table.n >= 2 else 0
-    small = small_counts_from_coefficients(diag.d[0], d2, dual_diag.d[0], dual_d2)
-    return _Analysis(
-        table=table,
-        paths=paths,
-        cuts=cuts,
-        form=form,
-        dual_form=dual_form,
-        diagonal=diag.d,
-        dual_diagonal=dual_diag.d,
-        sig=sig,
-        small=small,
-    )
+# _BYTE_NAMES[k][b]: the variables x<label> of the set bits of byte b at byte k.
+_NAMES = tuple(f"x{c}" for c in range(N_MAX + 1))
+_BYTE_NAMES = tuple(
+    tuple(tuple(_NAMES[c] for c in labels) for labels in level) for level in _BYTE_LABELS
+)
 
 
-def _monomial_text(mask: SubsetMask) -> str:
-    return "*".join(f"x{c}" for c in mask.components())
+def _monomial_text(mask: int) -> str:
+    low, mid, high = _BYTE_NAMES
+    return "*".join(low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16])
 
 
 def _form_text(form: MultilinearForm) -> str:
     parts: list[str] = []
-    for mask, coeff in form.terms():
+    coeffs = form.coeffs
+    for mask in sorted(coeffs, key=_subset_sort_key):
+        coeff = coeffs[mask]
         magnitude = abs(coeff)
-        if mask.bits == 0:
+        if mask == 0:
             body = str(magnitude)
         elif magnitude == 1:
             body = _monomial_text(mask)
@@ -296,7 +341,11 @@ def _family_json(family: SetFamily) -> list[list[int]]:
 
 
 def _form_json(form: MultilinearForm) -> list[dict]:
-    return [{"subset": list(m.components()), "coeff": c} for m, c in form.terms()]
+    coeffs = form.coeffs
+    return [
+        {"subset": list(_mask_labels(m)), "coeff": coeffs[m]}
+        for m in sorted(coeffs, key=_subset_sort_key)
+    ]
 
 
 def _sig_json(sig: SignatureVector) -> list[str]:
@@ -307,70 +356,82 @@ def _small_json(small: tuple[int, int, int, int]) -> dict:
     return {"alpha1": small[0], "alpha2": small[1], "beta1": small[2], "beta2": small[3]}
 
 
-def _render(lines: list[str], payload: dict, options: Options) -> Report:
+def _render(
+    options: Options, lines: Callable[[], list[str]], payload: Callable[[], dict]
+) -> Report:
+    """Build only the format asked for: text lines or the JSON payload."""
     if options.fmt == "json":
-        return Report(text=json.dumps(payload, indent=2, sort_keys=True))
-    return Report(text="\n".join(lines))
+        return Report(text=json.dumps(payload(), indent=2, sort_keys=True))
+    return Report(text="\n".join(lines()))
 
 
 def _run_analyze(system: SystemDoc, options: Options) -> Report:
-    a = _analyze(system, options)
-    dual_sig = dual_signature(a.sig)
-    lines = [
-        f"n: {system.n}",
-        f"representation: {system.kind}",
-        "semicoherent: yes",
-        f"minimal path sets: {a.paths}",
-        f"minimal cut sets: {a.cuts}",
-        f"simple form: {_form_text(a.form)}",
-        f"dual simple form: {_form_text(a.dual_form)}",
-        f"diagonal: {_diagonal_text(a.diagonal)}",
-        f"dual diagonal: {_diagonal_text(a.dual_diagonal)}",
-        f"signature: {a.sig}",
-        f"dual signature: {dual_sig}",
-        f"alpha: {_tuple_text(a.paths.size_census())}",
-        f"beta: {_tuple_text(a.cuts.size_census())}",
-        f"small counts: {_small_text(a.small)}",
-    ]
-    payload = {
-        "n": system.n,
-        "representation": system.kind,
-        "semicoherent": True,
-        "minimal_path_sets": _family_json(a.paths),
-        "minimal_cut_sets": _family_json(a.cuts),
-        "simple_form": _form_json(a.form),
-        "dual_simple_form": _form_json(a.dual_form),
-        "diagonal": list(a.diagonal),
-        "dual_diagonal": list(a.dual_diagonal),
-        "signature": _sig_json(a.sig),
-        "dual_signature": _sig_json(dual_sig),
-        "alpha": list(a.paths.size_census()),
-        "beta": list(a.cuts.size_census()),
-        "small_counts": _small_json(a.small),
-    }
-    if system.n <= _TABLE_ECHO_N_MAX:
-        payload["table"] = a.table.values_string()
-    return _render(lines, payload, options)
+    a = _Analysis(system, options)
+
+    def lines() -> list[str]:
+        return [
+            f"n: {system.n}",
+            f"representation: {system.kind}",
+            "semicoherent: yes",
+            f"minimal path sets: {a.paths}",
+            f"minimal cut sets: {a.cuts}",
+            f"simple form: {_form_text(a.form)}",
+            f"dual simple form: {_form_text(a.dual_form)}",
+            f"diagonal: {_diagonal_text(a.diagonal.d)}",
+            f"dual diagonal: {_diagonal_text(a.dual_diagonal.d)}",
+            f"signature: {a.sig}",
+            f"dual signature: {dual_signature(a.sig)}",
+            f"alpha: {_tuple_text(a.paths.size_census())}",
+            f"beta: {_tuple_text(a.cuts.size_census())}",
+            f"small counts: {_small_text(a.small)}",
+        ]
+
+    def payload() -> dict:
+        out = {
+            "n": system.n,
+            "representation": system.kind,
+            "semicoherent": True,
+            "minimal_path_sets": _family_json(a.paths),
+            "minimal_cut_sets": _family_json(a.cuts),
+            "simple_form": _form_json(a.form),
+            "dual_simple_form": _form_json(a.dual_form),
+            "diagonal": list(a.diagonal.d),
+            "dual_diagonal": list(a.dual_diagonal.d),
+            "signature": _sig_json(a.sig),
+            "dual_signature": _sig_json(dual_signature(a.sig)),
+            "alpha": list(a.paths.size_census()),
+            "beta": list(a.cuts.size_census()),
+            "small_counts": _small_json(a.small),
+        }
+        if system.n <= _TABLE_ECHO_N_MAX:
+            out["table"] = a.table.values_string()
+        return out
+
+    return _render(options, lines, payload)
 
 
 def _run_dual(system: SystemDoc, options: Options) -> Report:
-    a = _analyze(system, options)
-    dual_sig = dual_signature(a.sig)
-    lines = [
-        f"n: {system.n}",
-        f"dual minimal path sets: {a.cuts}",
-        f"dual simple form: {_form_text(a.dual_form)}",
-        f"dual diagonal: {_diagonal_text(a.dual_diagonal)}",
-        f"dual signature: {dual_sig}",
-    ]
-    payload = {
-        "n": system.n,
-        "dual_minimal_path_sets": _family_json(a.cuts),
-        "dual_simple_form": _form_json(a.dual_form),
-        "dual_diagonal": list(a.dual_diagonal),
-        "dual_signature": _sig_json(dual_sig),
-    }
-    return _render(lines, payload, options)
+    a = _Analysis(system, options)
+
+    def lines() -> list[str]:
+        return [
+            f"n: {system.n}",
+            f"dual minimal path sets: {a.cuts}",
+            f"dual simple form: {_form_text(a.dual_form)}",
+            f"dual diagonal: {_diagonal_text(a.dual_diagonal.d)}",
+            f"dual signature: {dual_signature(a.sig)}",
+        ]
+
+    def payload() -> dict:
+        return {
+            "n": system.n,
+            "dual_minimal_path_sets": _family_json(a.cuts),
+            "dual_simple_form": _form_json(a.dual_form),
+            "dual_diagonal": list(a.dual_diagonal.d),
+            "dual_signature": _sig_json(dual_signature(a.sig)),
+        }
+
+    return _render(options, lines, payload)
 
 
 def _run_reliability(system: SystemDoc, options: Options) -> Report:
@@ -379,30 +440,28 @@ def _run_reliability(system: SystemDoc, options: Options) -> Report:
     p = options.p
     if len(p) == 1:
         p = p * system.n
-    table = _realize_table(system, options.max_n)
-    _require_semicoherent(table)
-    paths = minimal_path_sets(table)
-    form = simple_form_from_paths(paths, max_r=options.max_r, max_n=options.max_n)
-    value = evaluate_reliability(form, p)
+    value = evaluate_reliability(_Analysis(system, options).form, p)
     rendered = str(value)
-    lines = [f"n: {system.n}", f"reliability: {rendered}"]
-    payload = {
-        "n": system.n,
-        "p": [str(v) if isinstance(v, Fraction) else v for v in p],
-        "reliability": rendered if isinstance(value, Fraction) else value,
-    }
-    return _render(lines, payload, options)
+    return _render(
+        options,
+        lambda: [f"n: {system.n}", f"reliability: {rendered}"],
+        lambda: {
+            "n": system.n,
+            "p": [str(v) if isinstance(v, Fraction) else v for v in p],
+            "reliability": rendered if isinstance(value, Fraction) else value,
+        },
+    )
 
 
 def _run_verify(system: SystemDoc, options: Options) -> Report:
-    table = _realize_table(system, options.max_n)
-    _require_semicoherent(table)
+    a = _Analysis(system, options)
+    table = a.table
     if table.n > VERIFY_N_MAX:
         raise CapacityError(
             f"verify runs brute-force oracles and is limited to n <= {VERIFY_N_MAX}, got n={table.n}"
         )
     form = mobius_transform(table)
-    paths = minimal_path_sets(table)
+    paths = a.paths
     cuts = minimal_cut_sets(table)
 
     def verdict(ok: bool) -> str:
@@ -458,13 +517,15 @@ def _run_verify(system: SystemDoc, options: Options) -> Report:
     passed = sum(1 for _, result in checks if result != "MISMATCH")
     verified = passed == len(checks)
     summary = f"verification: {'PASS' if verified else 'FAIL'} ({passed}/{len(checks)} checks)"
-    lines = [f"check {name}: {result}" for name, result in checks] + [summary]
-    payload = {
-        "n": system.n,
-        "checks": [{"name": name, "result": result} for name, result in checks],
-        "verified": verified,
-    }
-    rendered = _render(lines, payload, options)
+    rendered = _render(
+        options,
+        lambda: [f"check {name}: {result}" for name, result in checks] + [summary],
+        lambda: {
+            "n": system.n,
+            "checks": [{"name": name, "result": result} for name, result in checks],
+            "verified": verified,
+        },
+    )
     return Report(text=rendered.text, exit_code=EXIT_OK if verified else EXIT_MISMATCH)
 
 
@@ -481,32 +542,46 @@ def run_command(system: SystemDoc, command: str, options: "Options | None" = Non
         return _run_reliability(system, options)
     if command == "verify":
         return _run_verify(system, options)
-    a = _analyze(system, options)
+    a = _Analysis(system, options)
+    n = system.n
     if command == "paths":
-        lines = [f"n: {system.n}", f"minimal path sets: {a.paths}"]
-        payload = {"n": system.n, "minimal_path_sets": _family_json(a.paths)}
-    elif command == "cuts":
-        lines = [f"n: {system.n}", f"minimal cut sets: {a.cuts}"]
-        payload = {"n": system.n, "minimal_cut_sets": _family_json(a.cuts)}
-    elif command == "simple-form":
-        lines = [f"n: {system.n}", f"simple form: {_form_text(a.form)}"]
-        payload = {"n": system.n, "simple_form": _form_json(a.form)}
-    elif command == "signature":
-        lines = [f"s = {a.sig}"]
-        payload = {"n": system.n, "signature": _sig_json(a.sig)}
-    else:  # counts
-        lines = [
+        return _render(
+            options,
+            lambda: [f"n: {n}", f"minimal path sets: {a.paths}"],
+            lambda: {"n": n, "minimal_path_sets": _family_json(a.paths)},
+        )
+    if command == "cuts":
+        return _render(
+            options,
+            lambda: [f"n: {n}", f"minimal cut sets: {a.cuts}"],
+            lambda: {"n": n, "minimal_cut_sets": _family_json(a.cuts)},
+        )
+    if command == "simple-form":
+        return _render(
+            options,
+            lambda: [f"n: {n}", f"simple form: {_form_text(a.form)}"],
+            lambda: {"n": n, "simple_form": _form_json(a.form)},
+        )
+    if command == "signature":
+        return _render(
+            options,
+            lambda: [f"s = {a.sig}"],
+            lambda: {"n": n, "signature": _sig_json(a.sig)},
+        )
+    return _render(  # counts
+        options,
+        lambda: [
             f"alpha: {_tuple_text(a.paths.size_census())}",
             f"beta: {_tuple_text(a.cuts.size_census())}",
             f"small counts: {_small_text(a.small)}",
-        ]
-        payload = {
-            "n": system.n,
+        ],
+        lambda: {
+            "n": n,
             "alpha": list(a.paths.size_census()),
             "beta": list(a.cuts.size_census()),
             "small_counts": _small_json(a.small),
-        }
-    return _render(lines, payload, options)
+        },
+    )
 
 
 def _parse_p(raw: str, exact: bool) -> tuple:

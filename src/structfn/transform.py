@@ -30,6 +30,7 @@ from .core import (
     SetFamily,
     SubsetMask,
     TruthTable,
+    _BYTE_BITS,
     _check_max_n,
     _component_patterns,
     _iter_bit_positions,
@@ -114,9 +115,6 @@ def dualize_table(table: TruthTable) -> TruthTable:
     return TruthTable(n=table.n, bits=~reversed_bits & full)
 
 
-_BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
-
-
 def _table_bit_positions(bits: int, width: int) -> list[int]:
     """Set bit positions of a ``width``-bit table integer, ascending.
 
@@ -137,6 +135,11 @@ def minimal_path_sets(table: TruthTable) -> SetFamily:
     one-component-removed neighbours, checked table-wide per component.
     """
     _require_semicoherent(table)
+    return _minimal_paths(table)
+
+
+def _minimal_paths(table: TruthTable) -> SetFamily:
+    """:func:`minimal_path_sets` of a table already known to be semicoherent."""
     min_bits = _minimal_true_bits(table.bits, table.n)
     positions = _table_bit_positions(min_bits, 1 << table.n)
     members = tuple(SubsetMask(bits=m, n=table.n) for m in positions)
@@ -203,13 +206,23 @@ def _formation_signs(masks: Sequence[int]) -> dict[int, int]:
 
 
 def _simple_form(
-    family: SetFamily, operation: str, noun: str, max_r: "int | None", max_n: "int | None"
+    family: SetFamily,
+    operation: str,
+    noun: str,
+    max_r: "int | None",
+    max_n: "int | None",
+    table: "TruthTable | None" = None,
 ) -> MultilinearForm:
+    """The form of the system whose minimal path sets are ``family``.
+
+    ``table``, when given, must be that system's table; the dense fallback
+    then transforms it instead of rebuilding it from the family.
+    """
     # Both public expansions keep their own def, so messages and profiles name each.
     family = _minimal_family(family, operation, noun, stacklevel=4)
     if _expands(family.r, family, max_r, max_n):
         return MultilinearForm(n=family.n, coeffs=_formation_signs(family.masks()))
-    return mobius_transform(table_from_paths(family))
+    return mobius_transform(table_from_paths(family) if table is None else table)
 
 
 def simple_form_from_paths(

@@ -1,5 +1,6 @@
 """Command line behaviour: parsing, outputs, exit codes, determinism."""
 
+import hashlib
 import io
 import json
 import random
@@ -9,18 +10,29 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import BRIDGE_N, BRIDGE_PATHS, OVERLAP_PAIRS, PAIRS_N, family, greedy_antichain
+from conftest import (
+    BRIDGE_N,
+    BRIDGE_PATHS,
+    LATTICE_N20_PATHS,
+    OVERLAP_PAIRS,
+    PAIRS_N,
+    family,
+    greedy_antichain,
+)
 
 from structfn import (
+    R_MAX,
     CapacityError,
     MultilinearForm,
     evaluate_inclusion_exclusion,
     evaluate_reliability,
+    minimal_cut_sets,
     mobius_transform,
     simple_form_from_paths,
     table_from_paths,
 )
 from structfn.cli import (
+    COMMANDS,
     EXIT_CAPACITY,
     EXIT_INPUT,
     EXIT_MISMATCH,
@@ -412,3 +424,168 @@ class TestDeterminism:
         default = capsys.readouterr().out
         main(["analyze", "--format", "json", "--max-r", "2", doc])
         assert capsys.readouterr().out == default
+
+
+SCOPE_DOCS = {
+    "bridge": BRIDGE_DOC,
+    "lattice_n20": {"n": 20, "paths": [list(p) for p in LATTICE_N20_PATHS]},
+}
+
+# SHA-256 of the stdout of every command in both formats, recorded before the
+# CLI computed its views lazily; reliability runs with --p 1/2 --exact.
+STDOUT_DIGESTS = {
+    ("bridge", "analyze", "text"):
+        "483f6b1f8407f3b8d1b4ab62096e158016050726b37c2d03e718dd91dcdacf94",
+    ("bridge", "analyze", "json"):
+        "c7715331491d416f131c47743c4f6307d3a9bf8df1b60e7c8c6fed5a6edeefe0",
+    ("bridge", "dual", "text"):
+        "c582de05d9953cd6602f75f8121b01c9f1d47ea114f59bc400986dd726eb1470",
+    ("bridge", "dual", "json"):
+        "bd151e2a33a8ef0936c3e999597007a8be8337b433fcc0028c0248bb52d5321b",
+    ("bridge", "paths", "text"):
+        "182d75c2b514f81ac07df2dbe57f2e0dd61b9e144630c3b0a6c36322fcd3faf2",
+    ("bridge", "paths", "json"):
+        "0efe336d474f9735baa82803c03c93e27a9da98d2c2786778e3eaa976f04b5bf",
+    ("bridge", "cuts", "text"):
+        "f1a4d73a9c51f4480e830b379651105db2df59f9ab8de4ca1db02690e078fe4e",
+    ("bridge", "cuts", "json"):
+        "be302eacdecbdb72c9bd68d248d2b24951ef6ffb3ba533e06dcef3c2d1e38e7a",
+    ("bridge", "simple-form", "text"):
+        "ded6762a0622177fa5c8bc50b67e29c8050478581f042761ab7b76216c41436d",
+    ("bridge", "simple-form", "json"):
+        "1e185ce67d8030c819f0017a71bf1232fcb8f5abbe811c397a61b7fb473f0312",
+    ("bridge", "signature", "text"):
+        "d90d7743224dc3eef15308e3383934883f0d929ddf4ccd96a4313c6e77bc4211",
+    ("bridge", "signature", "json"):
+        "9f50c60e1f58ac537239773cee4615bbea7338f494ccf5dc3114a4c98920f79c",
+    ("bridge", "counts", "text"):
+        "1307fae8fd5b1bd752c06342f3ba8f12d960daf2ad052a53265e411577a91982",
+    ("bridge", "counts", "json"):
+        "8abb3ec6d95d65578a251530880fc90e84c9cae23da034fac818adaf68c02f23",
+    ("bridge", "reliability", "text"):
+        "cfe4773ca7aa067f784e95f4799ed5937da81128892d72c0023c43253f9b1de9",
+    ("bridge", "reliability", "json"):
+        "f35ccf5c0c19b2e3452328d5bc792da62229e99ded2a02fdfefd1bf37907436c",
+    ("bridge", "verify", "text"):
+        "de8128e28f0fccd8e116612b17663d56ff08dd7e48eb8a16cd6bc2a5daf5371f",
+    ("bridge", "verify", "json"):
+        "95f77d4601ecbdcb0ebe0e98530dfbb2a05eef9843c6229238dfcb4c6c1a1e77",
+    ("lattice_n20", "analyze", "text"):
+        "4d80eb776f9236b141eb96c810b1a81243a3e854d1903b2c69182e7bf43532a2",
+    ("lattice_n20", "analyze", "json"):
+        "42596cf44f6023d6c284d78c80acd11abbf5bcd31d1c49c9a8e692c6c2704bff",
+    ("lattice_n20", "dual", "text"):
+        "2c84fc4ac971165a998511b52c434be0fca12143a74ba2ed6758f497eab0cda5",
+    ("lattice_n20", "dual", "json"):
+        "cdd6e80b3241b335c22bc78c7d2309eaf4fb5017db23693f2cce5076e7666639",
+    ("lattice_n20", "paths", "text"):
+        "5350f7193a8d829bed509556d89647feb4e5cd97ef72b6bffd329a26b4f36c63",
+    ("lattice_n20", "paths", "json"):
+        "4cba1aa751e707d6357cfecaa61ccaf738f1ab950ab28fc27c5414ee52616e07",
+    ("lattice_n20", "cuts", "text"):
+        "1ffe0d2c6cb762c97c8014f6338d7ecd969f20cc26cd2777b3dce5d98dde00bc",
+    ("lattice_n20", "cuts", "json"):
+        "db026db5188b8016218f843b41b22b7f8594608358f721e5bd50511df25fc5cc",
+    ("lattice_n20", "simple-form", "text"):
+        "de7b96b6ecd0804fc8fb49cac01a667d8e07999d8463d5bf50090b9cd3a9e766",
+    ("lattice_n20", "simple-form", "json"):
+        "eb4fa242198cfe25f29b2361a38ef8c4a2dbbc02d009fc69388674bec1aa8784",
+    ("lattice_n20", "signature", "text"):
+        "1d9f9359221957fc7e0a1f436950ce9abddd5ab8de5a7b01325d0f85f63dbfaf",
+    ("lattice_n20", "signature", "json"):
+        "8a0f298372e1008127eb2f060d685f161f5bd386e012747ce46420a3966c221c",
+    ("lattice_n20", "counts", "text"):
+        "5edddda48f69b4420d43ed68acec652d959f87bca1c4007de1f4ae033eb73629",
+    ("lattice_n20", "counts", "json"):
+        "8b7b1c6227ad3ac5aaf96e656ccc3d577e6a5e6637568fae64c715190d5dd3af",
+    ("lattice_n20", "reliability", "text"):
+        "ec98459f6f74a9a88c56f6d5cb87048b2b418c0b4e02dee36d0553fd0e0e2f0e",
+    ("lattice_n20", "reliability", "json"):
+        "6624b48dbc50be921cf3cead0348f140642786fd8d56c528639b29f7eba8037c",
+}
+
+
+def run_cli(tmp_path, capsys, doc_name, command, fmt):
+    extra = ["--p", "1/2", "--exact"] if command == "reliability" else []
+    path = write_doc(tmp_path, SCOPE_DOCS[doc_name], f"{doc_name}.json")
+    rc = main([command, *extra, "--format", fmt, path])
+    return rc, capsys.readouterr().out
+
+
+class TestCommandScope:
+    """Each command computes only the views it prints, from one validation."""
+
+    @pytest.mark.parametrize("doc_name, command, fmt", sorted(STDOUT_DIGESTS))
+    def test_stdout_is_unchanged(self, tmp_path, capsys, doc_name, command, fmt):
+        rc, out = run_cli(tmp_path, capsys, doc_name, command, fmt)
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS[doc_name, command, fmt]
+
+    def test_digests_cover_every_command(self):
+        assert {c for _, c, _ in STDOUT_DIGESTS} == set(COMMANDS)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify"])
+    def test_validates_once(self, tmp_path, capsys, monkeypatch, command, fmt):
+        import structfn.core
+
+        calls = []
+        original = structfn.core.validate_semicoherent
+
+        def counted(table):
+            calls.append(table.n)
+            return original(table)
+
+        monkeypatch.setattr("structfn.core.validate_semicoherent", counted)
+        rc, out = run_cli(tmp_path, capsys, "bridge", command, fmt)
+        assert rc == EXIT_OK
+        assert calls == [BRIDGE_N]
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS["bridge", command, fmt]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["paths", "cuts", "signature"])
+    def test_answers_without_the_mobius_pass(self, tmp_path, capsys, monkeypatch, command, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{command} prints no dense transform")
+
+        for holder in ("core", "transform", "cli"):
+            monkeypatch.setattr(f"structfn.{holder}.mobius_transform", refuse)
+        rc, out = run_cli(tmp_path, capsys, "lattice_n20", command, fmt)
+        assert rc == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == STDOUT_DIGESTS["lattice_n20", command, fmt]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["analyze", "dual"])
+    def test_dual_fallback_reuses_the_dual_table(self, tmp_path, capsys, monkeypatch, command, fmt):
+        import structfn.transform
+
+        lattice_table = table_from_paths(family(LATTICE_N20_PATHS, 20))
+        assert minimal_cut_sets(lattice_table).r > R_MAX  # so the dual form is dense
+        built = []
+        original = structfn.transform.table_from_paths
+
+        def recorded(paths, **kwargs):
+            built.append(paths.masks())
+            return original(paths, **kwargs)
+
+        for holder in ("transform", "cli"):
+            monkeypatch.setattr(f"structfn.{holder}.table_from_paths", recorded)
+        rc, out = run_cli(tmp_path, capsys, "lattice_n20", command, fmt)
+        assert rc == EXIT_OK
+        assert built == [family(LATTICE_N20_PATHS, 20).masks()]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == STDOUT_DIGESTS["lattice_n20", command, fmt]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["analyze", "dual", "simple-form"])
+    def test_renders_one_format(self, tmp_path, capsys, monkeypatch, command, fmt):
+        unused = "_form_json" if fmt == "text" else "_form_text"
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{fmt} output needs no {unused}")
+
+        monkeypatch.setattr(f"structfn.cli.{unused}", refuse)
+        rc, out = run_cli(tmp_path, capsys, "bridge", command, fmt)
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS["bridge", command, fmt]

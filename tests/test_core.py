@@ -1,8 +1,11 @@
 """Domain types, semicoherence validation, and the zeta/Mobius pair."""
 
+import random
+import time
+
 import pytest
 
-from conftest import BRIDGE_N, BRIDGE_PATHS, coproduct_table, family
+from conftest import BRIDGE_N, BRIDGE_PATHS, LATTICE_N20_PATHS, coproduct_table, family
 
 from structfn import (
     CapacityError,
@@ -16,7 +19,13 @@ from structfn import (
     validate_semicoherent,
     zeta_transform,
 )
-from structfn.core import _component_patterns, _reverse_bits, _size_patterns
+from structfn.core import (
+    _component_patterns,
+    _mask_labels,
+    _reverse_bits,
+    _size_patterns,
+    _subset_sort_key,
+)
 from structfn.oracle import enumerate_semicoherent
 
 # The bridge simple form: +1 on each minimal path set, -1 on the five
@@ -94,6 +103,99 @@ class TestTruthTable:
         t = TruthTable.from_values("0111")
         with pytest.raises(ValueError):
             t.phi(4)
+
+
+class TestFromValuesMessages:
+    """Each message of TruthTable.from_values, in the order the checks run."""
+
+    @pytest.mark.parametrize(
+        "values, n, message",
+        [
+            ("01x1", None, "table character 'x' at position 2 is not 0 or 1"),
+            ("0 1", 3, "table character ' ' at position 1 is not 0 or 1"),
+            ("0\u0661", None, "table character '\u0661' at position 1 is not 0 or 1"),
+            ([0, 1, 2, 1], None, "table value 2 at position 2 is not 0 or 1"),
+            ([0, -1, 1], 4, "table value -1 at position 1 is not 0 or 1"),
+            ([True, 7], None, "table value 7 at position 1 is not 0 or 1"),
+            ("", None, "a table needs 2^n values for some n >= 1, got none"),
+            ([], None, "a table needs 2^n values for some n >= 1, got none"),
+            ("0101", 3, "expected 8 values for n=3, got 4"),
+            ("011", None, "expected 2 values for n=1, got 3"),
+            ([0, 0, 0, 1, 1], None, "expected 4 values for n=2, got 5"),
+            ("", 2, "expected 4 values for n=2, got 0"),
+        ],
+    )
+    def test_message(self, values, n, message):
+        with pytest.raises(ValueError) as excinfo:
+            TruthTable.from_values(values, n=n)
+        assert str(excinfo.value) == message
+
+    def test_iterables_of_every_kind(self):
+        expected = TruthTable(n=2, bits=0b1110)
+        assert TruthTable.from_values(iter([0, 1, 1, 1])) == expected
+        assert TruthTable.from_values((False, True, True, True), n=2) == expected
+        assert TruthTable.from_values(range(2), n=1) == TruthTable(n=1, bits=0b10)
+
+
+class TestFromValuesScale:
+    def test_n20_string_parses_in_linear_time(self):
+        table = table_from_paths(family(LATTICE_N20_PATHS, 20))
+        text = table.values_string()
+        start = time.perf_counter()
+        parsed = TruthTable.from_values(text)
+        elapsed = time.perf_counter() - start
+        assert parsed == table
+        # A shift per true entry took about 7 s at n = 20; the linear parse takes ms.
+        assert elapsed < 2.0
+
+    def test_n16_iterable_matches_the_string(self):
+        rng = random.Random(16)
+        text = "".join(rng.choice("01") for _ in range(1 << 16))
+        assert TruthTable.from_values([int(ch) for ch in text]) == TruthTable.from_values(text)
+        assert TruthTable.from_values(text).values_string() == text
+
+
+def reference_iter_bit_positions(bits):
+    """The ascending bit walk the byte-table labels replaced."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def reference_sort_key(mask):
+    """The tuple key the packed mirror key replaced."""
+    return (mask.bit_count(), tuple(reference_iter_bit_positions(mask)))
+
+
+def reference_components(bits):
+    return tuple(i + 1 for i in reference_iter_bit_positions(bits))
+
+
+def random_24_bit_masks():
+    rng = random.Random(24)
+    return [rng.getrandbits(24) for _ in range(50_000)] + [0, 1, 1 << 23, (1 << 24) - 1]
+
+
+class TestCanonicalOrder:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_sort_key_matches_reference_on_all_masks(self, n):
+        masks = list(range(1 << n))
+        random.Random(n).shuffle(masks)
+        assert sorted(masks, key=_subset_sort_key) == sorted(masks, key=reference_sort_key)
+
+    def test_sort_key_matches_reference_on_random_24_bit_masks(self):
+        masks = random_24_bit_masks()
+        assert sorted(masks, key=_subset_sort_key) == sorted(masks, key=reference_sort_key)
+
+    def test_components_match_reference_below_2_16(self):
+        for m in range(1 << 16):
+            assert SubsetMask(bits=m, n=16).components() == reference_components(m)
+
+    def test_components_match_reference_on_random_24_bit_masks(self):
+        for m in random_24_bit_masks():
+            assert SubsetMask(bits=m, n=24).components() == reference_components(m)
+            assert _mask_labels(m) == reference_components(m)
 
 
 class TestSetFamily:

@@ -4,8 +4,10 @@ Reads a JSON system document (component count plus exactly one of paths,
 cuts, table, or simple_form), realizes the truth table, and reports the
 requested view of the system. The table is validated once; each command then
 computes only the views it prints and builds only the output format asked
-for. Output is deterministic: families, terms, and JSON keys are always
-emitted in canonical order.
+for. Every command but ``reliability`` and ``verify`` is a tuple of view
+names, and one view table gives each view's text label, JSON key, source and
+renderers for both formats. Output is deterministic: families, terms, and
+JSON keys are always emitted in canonical order.
 
 Exit codes: 0 success, 1 input error, 2 capacity exceeded, 3 verification
 mismatch.
@@ -19,8 +21,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 from . import oracle
 from .core import (
@@ -52,6 +55,7 @@ from .transform import (
     _simple_form,
     dual_simple_form_from_cuts,
     dualize_table,
+    formation_balance,
     minimal_cut_sets,
     simple_form_from_paths,
     table_from_cuts,
@@ -64,18 +68,6 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAPACITY = 2
 EXIT_MISMATCH = 3
-
-COMMANDS = (
-    "analyze",
-    "dual",
-    "paths",
-    "cuts",
-    "simple-form",
-    "signature",
-    "counts",
-    "reliability",
-    "verify",
-)
 
 # Brute-force verification is only pleasant at desk scale.
 VERIFY_N_MAX = 10
@@ -103,7 +95,6 @@ class Options:
 
     fmt: str = "text"
     p: "tuple | None" = None
-    exact: bool = False
     max_r: "int | None" = None
     max_n: "int | None" = None
 
@@ -225,7 +216,10 @@ class _Analysis:
     are nonempty antichains.
     """
 
+    semicoherent = True  # construction raises otherwise
+
     def __init__(self, system: SystemDoc, options: Options) -> None:
+        self.kind = system.kind
         self.table = _realize_table(system, options.max_n)
         _require_semicoherent(self.table)
         self._max_r = options.max_r
@@ -275,6 +269,10 @@ class _Analysis:
         return signature_from_diagonal(self.diagonal)
 
     @cached_property
+    def dual_sig(self) -> SignatureVector:
+        return dual_signature(self.sig)
+
+    @cached_property
     def small(self) -> tuple[int, int, int, int]:
         d, dual_d = self.diagonal.d, self.dual_diagonal.d
         d2 = d[1] if self.table.n >= 2 else 0
@@ -294,42 +292,41 @@ def _monomial_text(mask: int) -> str:
     return "*".join(low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16])
 
 
-def _form_text(form: MultilinearForm) -> str:
+def _signed_sum(terms: Iterable[tuple[int, str]], times: str) -> str:
+    """Join (coefficient, monomial) terms as "-x + 2*y - z"; no terms read "0".
+
+    A coefficient of magnitude 1 is left off its monomial, and an empty
+    monomial (a constant) shows the magnitude alone.
+    """
     parts: list[str] = []
-    coeffs = form.coeffs
-    for mask in sorted(coeffs, key=_subset_sort_key):
-        coeff = coeffs[mask]
+    for coeff, monomial in terms:
         magnitude = abs(coeff)
-        if mask == 0:
+        if not monomial:
             body = str(magnitude)
         elif magnitude == 1:
-            body = _monomial_text(mask)
+            body = monomial
         else:
-            body = f"{magnitude}*{_monomial_text(mask)}"
+            body = f"{magnitude}{times}{monomial}"
         if not parts:
             parts.append(body if coeff > 0 else f"-{body}")
         else:
             parts.append(("+ " if coeff > 0 else "- ") + body)
     return " ".join(parts) if parts else "0"
+
+
+def _form_text(form: MultilinearForm) -> str:
+    coeffs = form.coeffs
+    terms = ((coeffs[m], _monomial_text(m)) for m in sorted(coeffs, key=_subset_sort_key))
+    return _signed_sum(terms, "*")
 
 
 def _diagonal_text(d: tuple[int, ...]) -> str:
-    parts: list[str] = []
-    for k, coeff in enumerate(d, start=1):
-        if not coeff:
-            continue
-        var = "x" if k == 1 else f"x^{k}"
-        magnitude = abs(coeff)
-        body = var if magnitude == 1 else f"{magnitude}{var}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
+    powers = ((c, "x" if k == 1 else f"x^{k}") for k, c in enumerate(d, start=1) if c)
+    return _signed_sum(powers, "")
 
 
-def _tuple_text(values: Sequence) -> str:
-    return "(" + ", ".join(str(v) for v in values) + ")"
+def _census_text(family: SetFamily) -> str:
+    return "(" + ", ".join(str(v) for v in family.size_census()) + ")"
 
 
 def _small_text(small: tuple[int, int, int, int]) -> str:
@@ -348,12 +345,69 @@ def _form_json(form: MultilinearForm) -> list[dict]:
     ]
 
 
+def _census_json(family: SetFamily) -> list[int]:
+    return list(family.size_census())
+
+
 def _sig_json(sig: SignatureVector) -> list[str]:
     return [str(v) for v in sig.s]
 
 
 def _small_json(small: tuple[int, int, int, int]) -> dict:
     return {"alpha1": small[0], "alpha2": small[1], "beta1": small[2], "beta2": small[3]}
+
+
+def _table_json(table: TruthTable) -> "str | None":
+    return table.values_string() if table.n <= _TABLE_ECHO_N_MAX else None
+
+
+# Every view a report command prints: its text label, JSON key, the _Analysis
+# attribute that holds it, and its text and JSON renderers. A view without a
+# label is JSON only, and a JSON renderer's None leaves its key out. The form
+# renderers are looked up when called, so a command reaches only those of the
+# format asked for.
+_VIEWS: dict[str, tuple] = {
+    "n": ("n: ", "n", "table.n", str, int),
+    "json_n": (None, "n", "table.n", None, int),
+    "representation": ("representation: ", "representation", "kind", str, str),
+    "semicoherent": ("semicoherent: ", "semicoherent", "semicoherent", lambda _: "yes", bool),
+    "paths": ("minimal path sets: ", "minimal_path_sets", "paths", str, _family_json),
+    "cuts": ("minimal cut sets: ", "minimal_cut_sets", "cuts", str, _family_json),
+    "dual_paths": ("dual minimal path sets: ", "dual_minimal_path_sets", "cuts", str, _family_json),
+    "form": (
+        "simple form: ", "simple_form", "form",
+        lambda form: _form_text(form), lambda form: _form_json(form),
+    ),
+    "dual_form": (
+        "dual simple form: ", "dual_simple_form", "dual_form",
+        lambda form: _form_text(form), lambda form: _form_json(form),
+    ),
+    "diagonal": ("diagonal: ", "diagonal", "diagonal.d", _diagonal_text, list),
+    "dual_diagonal": ("dual diagonal: ", "dual_diagonal", "dual_diagonal.d", _diagonal_text, list),
+    "signature": ("signature: ", "signature", "sig", str, _sig_json),
+    "s": ("s = ", "signature", "sig", str, _sig_json),
+    "dual_signature": ("dual signature: ", "dual_signature", "dual_sig", str, _sig_json),
+    "alpha": ("alpha: ", "alpha", "paths", _census_text, _census_json),
+    "beta": ("beta: ", "beta", "cuts", _census_text, _census_json),
+    "small_counts": ("small counts: ", "small_counts", "small", _small_text, _small_json),
+    "table": (None, "table", "table", None, _table_json),
+}
+
+# The views of each report command, in the order text prints them.
+_COMMAND_VIEWS = {
+    "analyze": (
+        "n", "representation", "semicoherent", "paths", "cuts", "form", "dual_form", "diagonal",
+        "dual_diagonal", "signature", "dual_signature", "alpha", "beta", "small_counts", "table",
+    ),
+    "dual": ("n", "dual_paths", "dual_form", "dual_diagonal", "dual_signature"),
+    "paths": ("n", "paths"),
+    "cuts": ("n", "cuts"),
+    "simple-form": ("n", "form"),
+    "signature": ("json_n", "s"),
+    "counts": ("json_n", "alpha", "beta", "small_counts"),
+}
+
+COMMANDS = (*_COMMAND_VIEWS, "reliability", "verify")
 
 
 def _render(
@@ -365,71 +419,16 @@ def _render(
     return Report(text="\n".join(lines()))
 
 
-def _run_analyze(system: SystemDoc, options: Options) -> Report:
+def _run_views(system: SystemDoc, options: Options, names: Sequence[str]) -> Report:
     a = _Analysis(system, options)
+    views = [_VIEWS[name] for name in names]
 
     def lines() -> list[str]:
-        return [
-            f"n: {system.n}",
-            f"representation: {system.kind}",
-            "semicoherent: yes",
-            f"minimal path sets: {a.paths}",
-            f"minimal cut sets: {a.cuts}",
-            f"simple form: {_form_text(a.form)}",
-            f"dual simple form: {_form_text(a.dual_form)}",
-            f"diagonal: {_diagonal_text(a.diagonal.d)}",
-            f"dual diagonal: {_diagonal_text(a.dual_diagonal.d)}",
-            f"signature: {a.sig}",
-            f"dual signature: {dual_signature(a.sig)}",
-            f"alpha: {_tuple_text(a.paths.size_census())}",
-            f"beta: {_tuple_text(a.cuts.size_census())}",
-            f"small counts: {_small_text(a.small)}",
-        ]
+        return [label + text(attrgetter(attr)(a)) for label, _, attr, text, _ in views if label]
 
     def payload() -> dict:
-        out = {
-            "n": system.n,
-            "representation": system.kind,
-            "semicoherent": True,
-            "minimal_path_sets": _family_json(a.paths),
-            "minimal_cut_sets": _family_json(a.cuts),
-            "simple_form": _form_json(a.form),
-            "dual_simple_form": _form_json(a.dual_form),
-            "diagonal": list(a.diagonal.d),
-            "dual_diagonal": list(a.dual_diagonal.d),
-            "signature": _sig_json(a.sig),
-            "dual_signature": _sig_json(dual_signature(a.sig)),
-            "alpha": list(a.paths.size_census()),
-            "beta": list(a.cuts.size_census()),
-            "small_counts": _small_json(a.small),
-        }
-        if system.n <= _TABLE_ECHO_N_MAX:
-            out["table"] = a.table.values_string()
-        return out
-
-    return _render(options, lines, payload)
-
-
-def _run_dual(system: SystemDoc, options: Options) -> Report:
-    a = _Analysis(system, options)
-
-    def lines() -> list[str]:
-        return [
-            f"n: {system.n}",
-            f"dual minimal path sets: {a.cuts}",
-            f"dual simple form: {_form_text(a.dual_form)}",
-            f"dual diagonal: {_diagonal_text(a.dual_diagonal.d)}",
-            f"dual signature: {dual_signature(a.sig)}",
-        ]
-
-    def payload() -> dict:
-        return {
-            "n": system.n,
-            "dual_minimal_path_sets": _family_json(a.cuts),
-            "dual_simple_form": _form_json(a.dual_form),
-            "dual_diagonal": list(a.dual_diagonal.d),
-            "dual_signature": _sig_json(dual_signature(a.sig)),
-        }
+        out = {key: as_json(attrgetter(attr)(a)) for _, key, attr, _, as_json in views}
+        return {key: value for key, value in out.items() if value is not None}
 
     return _render(options, lines, payload)
 
@@ -482,8 +481,6 @@ def _run_verify(system: SystemDoc, options: Options) -> Report:
         ("dual table matches definition", verdict(dualize_table(table) == oracle.oracle_dual_table(table)))
     )
     if paths.r <= _VERIFY_FORMATION_R_MAX:
-        from .transform import formation_balance
-
         candidates = sorted(
             set(form.coeffs) | {m for m in range(1 << table.n) if m.bit_count() <= 2}
         )
@@ -534,54 +531,11 @@ def run_command(system: SystemDoc, command: str, options: "Options | None" = Non
     options = options or Options()
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    if command == "analyze":
-        return _run_analyze(system, options)
-    if command == "dual":
-        return _run_dual(system, options)
     if command == "reliability":
         return _run_reliability(system, options)
     if command == "verify":
         return _run_verify(system, options)
-    a = _Analysis(system, options)
-    n = system.n
-    if command == "paths":
-        return _render(
-            options,
-            lambda: [f"n: {n}", f"minimal path sets: {a.paths}"],
-            lambda: {"n": n, "minimal_path_sets": _family_json(a.paths)},
-        )
-    if command == "cuts":
-        return _render(
-            options,
-            lambda: [f"n: {n}", f"minimal cut sets: {a.cuts}"],
-            lambda: {"n": n, "minimal_cut_sets": _family_json(a.cuts)},
-        )
-    if command == "simple-form":
-        return _render(
-            options,
-            lambda: [f"n: {n}", f"simple form: {_form_text(a.form)}"],
-            lambda: {"n": n, "simple_form": _form_json(a.form)},
-        )
-    if command == "signature":
-        return _render(
-            options,
-            lambda: [f"s = {a.sig}"],
-            lambda: {"n": n, "signature": _sig_json(a.sig)},
-        )
-    return _render(  # counts
-        options,
-        lambda: [
-            f"alpha: {_tuple_text(a.paths.size_census())}",
-            f"beta: {_tuple_text(a.cuts.size_census())}",
-            f"small counts: {_small_text(a.small)}",
-        ],
-        lambda: {
-            "n": n,
-            "alpha": list(a.paths.size_census()),
-            "beta": list(a.cuts.size_census()),
-            "small_counts": _small_json(a.small),
-        },
-    )
+    return _run_views(system, options, _COMMAND_VIEWS[command])
 
 
 def _parse_p(raw: str, exact: bool) -> tuple:
@@ -639,7 +593,7 @@ def main(argv: "Sequence[str] | None" = None) -> int:
         if args.max_n is not None and not 1 <= args.max_n <= N_MAX:
             raise ValueError(f"--max-n must be in 1..{N_MAX}")
         p = _parse_p(args.p, args.exact) if args.p is not None else None
-        options = Options(fmt=args.fmt, p=p, exact=args.exact, max_r=args.max_r, max_n=args.max_n)
+        options = Options(fmt=args.fmt, p=p, max_r=args.max_r, max_n=args.max_n)
         if args.document == "-":
             text = sys.stdin.read()
         else:

@@ -117,6 +117,11 @@ def _mask_labels(mask: int) -> tuple[int, ...]:
     return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
 
 
+def _set_str(mask: int) -> str:
+    """A mask below 2^24 as its component labels in braces, e.g. {1,3}."""
+    return "{" + ",".join(str(c) for c in _mask_labels(mask)) + "}"
+
+
 def _mask_bits(subset: MaskLike, n: int) -> int:
     """Coerce a subset argument to raw mask bits, checked against n components."""
     if isinstance(subset, SubsetMask):
@@ -169,11 +174,7 @@ def _size_patterns(n: int) -> tuple[int, ...]:
 def _reverse_bits(bits: int, width: int) -> int:
     """Mirror the low ``width`` bits of ``bits`` (bit m moves to width-1-m)."""
     if width < 8:
-        out = 0
-        for m in range(width):
-            if bits >> m & 1:
-                out |= 1 << (width - 1 - m)
-        return out
+        return _REV8[bits] >> (8 - width)
     return int.from_bytes(bits.to_bytes(width // 8, "little").translate(_REV8), "big")
 
 
@@ -272,7 +273,7 @@ class SubsetMask:
         return self.n == other.n and self.bits & ~other.bits == 0
 
     def __str__(self) -> str:
-        return "{" + ",".join(str(c) for c in self.components()) + "}"
+        return _set_str(self.bits)
 
 
 @dataclass(frozen=True)
@@ -495,10 +496,6 @@ class ValidationReport:
 
     ok: bool
     violations: tuple[str, ...]
-
-
-def _set_str(mask: int) -> str:
-    return "{" + ",".join(str(i + 1) for i in _iter_bit_positions(mask)) + "}"
 
 
 def validate_semicoherent(table: TruthTable) -> ValidationReport:

@@ -14,7 +14,9 @@ the integer numerator of its value over D, the numerators are summed, and
 one ``Fraction(total, D)`` is built at the end. The result is a ``Fraction``
 when a component the terms cover has a ``Fraction`` p_i, else the exact
 ``int`` the plain loops give. Any other input (all ``int``, ``bool``, numpy
-scalars, floats, mixtures with floats) keeps the plain loops.
+scalars, floats, mixtures with floats) keeps the plain term loop in
+:func:`evaluate_reliability` and the blocked subfamily walk in
+:func:`evaluate_inclusion_exclusion`.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ __all__ = [
     "diagonal_from_paths",
 ]
 
-# The float inclusion-exclusion walk computes its leaves 2^14 at a time
-# (128 KiB of float64 terms), whatever the family size.
+# The blocked inclusion-exclusion walk computes its leaves 2^14 at a time
+# (128 KiB of float64 terms or object pointers), whatever the family size.
 _IE_BLOCK_BITS = 14
 
 
@@ -134,33 +136,41 @@ def _subfamily_unions(masks: Sequence[int]) -> "tuple[np.ndarray, np.ndarray]":
     return unions, odd
 
 
-def _float_inclusion_exclusion(masks: Sequence[int], p: Sequence[float]) -> float:
-    """The inclusion-exclusion walk for float p, a block of leaves at a time.
+def _blocked_inclusion_exclusion(masks: Sequence[int], p: Sequence):
+    """The inclusion-exclusion walk, a block of leaves at a time.
 
     The last min(14, r) members vary inside a block and the others pick it. Each
-    leaf's term starts at +-1.0 and is multiplied by p_i in ascending
-    component order, and the terms are summed one by one in walk order from
-    0.0: the same float operations in the same order as the recursive walk,
-    so the result is bit-identical to it.
+    leaf's term starts at +-1 and is multiplied by p_i in ascending component
+    order, and the terms are summed one by one in walk order from 0 (``cumsum``
+    adds one at a time, where ``sum`` may compensate): the same operations in
+    the same order as the recursive walk, so the result is that walk's value
+    and type, bit for bit. All-float p runs on float64. Any other p runs on
+    Python objects, each p_i boxed in a 1-element object array so that numpy
+    hands numpy scalars to the products as they are instead of casting them to
+    Python numbers.
     """
+    if all(type(value) is float for value in p):
+        dtype, factors, total = np.float64, p, 0.0
+    else:
+        dtype, total = object, 0
+        factors = [np.array([value], dtype=object) for value in p]
     split = len(masks) - min(_IE_BLOCK_BITS, len(masks))
     tail_unions, tail_odd = _subfamily_unions(masks[split:])
-    tail_signs = np.where(tail_odd, 1.0, -1.0)
+    tail_signs = np.where(tail_odd, 1, -1).astype(dtype)
     tail_cover = int(tail_unions[-1])
     in_tail = {i: (tail_unions >> i & 1).astype(bool) for i in _iter_bit_positions(tail_cover)}
     head_unions, head_odd = _subfamily_unions(masks[:split])
-    total = np.float64(0.0)
     for block, (head, odd) in enumerate(zip(head_unions.tolist(), head_odd.tolist())):
         term = -tail_signs if odd else tail_signs.copy()
         for i in _iter_bit_positions(head | tail_cover):
             if head >> i & 1:
-                term *= p[i]
+                term *= factors[i]
             else:
-                np.multiply(term, p[i], out=term, where=in_tail[i])
+                np.multiply(term, factors[i], out=term, where=in_tail[i])
         if block == 0:
             term = term[1:]  # leaf 0 is the empty subfamily
-        total = np.cumsum(np.concatenate(([total], term)))[-1]
-    return float(total)
+        total = np.cumsum(np.concatenate((np.array([total], dtype=dtype), term))).item(-1)
+    return total
 
 
 def _exact_inclusion_exclusion(
@@ -208,35 +218,19 @@ def evaluate_inclusion_exclusion(
     i, divides the carried value by d_i and multiplies by a_i, exactly since
     d_i is still a factor; every leaf still adds its own signed term.
 
-    When every p_i is a Python float, the walk runs on numpy a block of
-    subfamilies at a time; its terms and summation order are unchanged, so
-    the value is the same float to the last bit.
+    Any other p runs on numpy a block of subfamilies at a time, on float64
+    when every p_i is a Python float and on Python objects otherwise; its
+    terms and summation order are those of the plain walk, so the value is
+    the same to the last bit and of the same type.
     """
     _require_members(paths)
     _check_probabilities(p, paths.n)
     if _expands(paths.r, paths, max_r, max_n):
         masks = paths.masks()
-        if all(type(value) is float for value in p):
-            return _float_inclusion_exclusion(masks, p)
         exact = _common_denominator(p)
         if exact is not None:
             return _exact_inclusion_exclusion(masks, p, *exact)
-        total = 0
-
-        def walk(idx: int, union: int, size: int) -> None:
-            nonlocal total
-            if idx == len(masks):
-                if size:
-                    term = 1 if size & 1 else -1
-                    for i in _iter_bit_positions(union):
-                        term = term * p[i]
-                    total += term
-                return
-            walk(idx + 1, union, size)
-            walk(idx + 1, union | masks[idx], size + 1)
-
-        walk(0, 0, 0)
-        return total
+        return _blocked_inclusion_exclusion(masks, p)
     return evaluate_reliability(mobius_transform(table_from_paths(paths)), p)
 
 

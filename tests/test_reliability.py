@@ -230,6 +230,25 @@ class TestFloatInclusionExclusion:
             assert repr(value) == repr(expected)
         assert type(evaluate_inclusion_exclusion(paths, np.full(5, 0.5))) is np.float64
 
+    @pytest.mark.parametrize("r", [15, 16])
+    def test_object_route_past_one_block(self, r):
+        # Past 2^14 leaves the object walk carries its running sum from block to block.
+        rng = random.Random(100 + r)
+        paths = greedy_antichain(rng, 16, r, 3, 6)
+        assert paths.r == r
+        for p in (
+            [rng.random() < 0.5 for _ in range(16)],
+            [np.int64(rng.randrange(2)) for _ in range(16)],
+            [np.float64(rng.uniform(0.05, 0.95)) for _ in range(16)],
+            # A Fraction on the lowest component of each half, then on the highest.
+            [Fraction(rng.randint(1, 6), 7) if i % 8 == 0 else rng.uniform(0.05, 0.95) for i in range(16)],
+            [Fraction(rng.randint(1, 6), 7) if i % 8 == 7 else rng.uniform(0.05, 0.95) for i in range(16)],
+        ):
+            value = evaluate_inclusion_exclusion(paths, p)
+            expected = walk_inclusion_exclusion(paths.masks(), p)
+            assert type(value) is type(expected)
+            assert repr(value) == repr(expected)
+
 
 class TestExactIntegerRoute:
     """Exact p holding a Fraction is summed in integer numerators over one denominator."""

@@ -6,8 +6,9 @@ requested view of the system. The table is validated once; each command then
 computes only the views it prints and builds only the output format asked
 for. Every command but ``reliability`` and ``verify`` is a tuple of view
 names, and one view table gives each view's text label, JSON key, source and
-renderers for both formats. Output is deterministic: families, terms, and
-JSON keys are always emitted in canonical order.
+renderers for both formats; the dual views are those of a second analysis, of
+the dual table. Output is deterministic: families, terms, and JSON keys are
+always emitted in canonical order.
 
 Exit codes: 0 success, 1 input error, 2 capacity exceeded, 3 verification
 mismatch.
@@ -43,21 +44,13 @@ from .core import (
     zeta_transform,
 )
 from .reliability import diagonal_coefficients, evaluate_reliability
-from .signature import (
-    dual_signature,
-    signature_boland,
-    signature_from_diagonal,
-    small_counts_from_coefficients,
-)
+from .signature import signature_boland, signature_from_diagonal, small_counts_from_signature
 from .transform import (
     R_MAX,
     _minimal_paths,
     _simple_form,
-    dual_simple_form_from_cuts,
     dualize_table,
     formation_balance,
-    minimal_cut_sets,
-    simple_form_from_paths,
     table_from_cuts,
     table_from_paths,
 )
@@ -207,53 +200,41 @@ def _realize_table(system: SystemDoc, max_n: "int | None") -> TruthTable:
 
 
 class _Analysis:
-    """The views of one document's system, each computed on first use.
+    """The views of one semicoherent system, each computed on first use.
 
-    Construction realizes the table and checks semicoherence, once; after
-    that no view can fail. ``_realize_table`` has checked ``max_n``, so a
-    form whose family exceeds ``max_r`` falls back to the table instead of
-    raising, and the minimal path and cut families of a semicoherent table
-    are nonempty antichains.
+    :meth:`of` realizes a document's table and checks semicoherence, once;
+    after that no view can fail. ``max_n`` has been checked, so a form whose
+    nonempty antichain of paths exceeds ``max_r`` falls back to this system's
+    table instead of raising. ``dual`` analyzes the dual table, semicoherent
+    too, whose minimal path sets are the minimal cut sets.
     """
 
     semicoherent = True  # construction raises otherwise
 
-    def __init__(self, system: SystemDoc, options: Options) -> None:
-        self.kind = system.kind
-        self.table = _realize_table(system, options.max_n)
-        _require_semicoherent(self.table)
-        self._max_r = options.max_r
-        self._max_n = options.max_n
+    def __init__(self, kind: str, table: TruthTable, options: Options) -> None:
+        self.kind = kind
+        self.table = table
+        self._options = options
+
+    @classmethod
+    def of(cls, system: SystemDoc, options: Options) -> "_Analysis":
+        table = _realize_table(system, options.max_n)
+        _require_semicoherent(table)
+        return cls(system.kind, table, options)
 
     @cached_property
-    def dual_table(self) -> TruthTable:
-        return dualize_table(self.table)
+    def dual(self) -> "_Analysis":
+        return _Analysis(self.kind, dualize_table(self.table), self._options)
 
     @cached_property
     def paths(self) -> SetFamily:
         return _minimal_paths(self.table)
 
     @cached_property
-    def cuts(self) -> SetFamily:
-        # The dual of a semicoherent table is semicoherent, and its minimal
-        # path sets are the minimal cut sets.
-        return _minimal_paths(self.dual_table)
-
-    @cached_property
     def form(self) -> MultilinearForm:
-        return simple_form_from_paths(self.paths, max_r=self._max_r, max_n=self._max_n)
-
-    @cached_property
-    def dual_form(self) -> MultilinearForm:
-        # The cuts are the dual's minimal path sets, so the dual table is the
-        # table_from_paths(cuts) that the dense fallback would rebuild.
+        o = self._options
         return _simple_form(
-            self.cuts,
-            dual_simple_form_from_cuts.__name__,
-            "cut",
-            self._max_r,
-            self._max_n,
-            table=self.dual_table,
+            self.paths, "simple_form_from_paths", "path", o.max_r, o.max_n, table=self.table
         )
 
     @cached_property
@@ -261,23 +242,12 @@ class _Analysis:
         return diagonal_coefficients(self.form)
 
     @cached_property
-    def dual_diagonal(self) -> DiagonalPoly:
-        return diagonal_coefficients(self.dual_form)
-
-    @cached_property
     def sig(self) -> SignatureVector:
         return signature_from_diagonal(self.diagonal)
 
     @cached_property
-    def dual_sig(self) -> SignatureVector:
-        return dual_signature(self.sig)
-
-    @cached_property
     def small(self) -> tuple[int, int, int, int]:
-        d, dual_d = self.diagonal.d, self.dual_diagonal.d
-        d2 = d[1] if self.table.n >= 2 else 0
-        dual_d2 = dual_d[1] if self.table.n >= 2 else 0
-        return small_counts_from_coefficients(d[0], d2, dual_d[0], dual_d2)
+        return small_counts_from_signature(self.sig)
 
 
 # _BYTE_NAMES[k][b]: the variables x<label> of the set bits of byte b at byte k.
@@ -372,23 +342,25 @@ _VIEWS: dict[str, tuple] = {
     "representation": ("representation: ", "representation", "kind", str, str),
     "semicoherent": ("semicoherent: ", "semicoherent", "semicoherent", lambda _: "yes", bool),
     "paths": ("minimal path sets: ", "minimal_path_sets", "paths", str, _family_json),
-    "cuts": ("minimal cut sets: ", "minimal_cut_sets", "cuts", str, _family_json),
-    "dual_paths": ("dual minimal path sets: ", "dual_minimal_path_sets", "cuts", str, _family_json),
+    "cuts": ("minimal cut sets: ", "minimal_cut_sets", "dual.paths", str, _family_json),
+    "dual_paths": (
+        "dual minimal path sets: ", "dual_minimal_path_sets", "dual.paths", str, _family_json
+    ),
     "form": (
         "simple form: ", "simple_form", "form",
         lambda form: _form_text(form), lambda form: _form_json(form),
     ),
     "dual_form": (
-        "dual simple form: ", "dual_simple_form", "dual_form",
+        "dual simple form: ", "dual_simple_form", "dual.form",
         lambda form: _form_text(form), lambda form: _form_json(form),
     ),
     "diagonal": ("diagonal: ", "diagonal", "diagonal.d", _diagonal_text, list),
-    "dual_diagonal": ("dual diagonal: ", "dual_diagonal", "dual_diagonal.d", _diagonal_text, list),
+    "dual_diagonal": ("dual diagonal: ", "dual_diagonal", "dual.diagonal.d", _diagonal_text, list),
     "signature": ("signature: ", "signature", "sig", str, _sig_json),
     "s": ("s = ", "signature", "sig", str, _sig_json),
-    "dual_signature": ("dual signature: ", "dual_signature", "dual_sig", str, _sig_json),
+    "dual_signature": ("dual signature: ", "dual_signature", "dual.sig", str, _sig_json),
     "alpha": ("alpha: ", "alpha", "paths", _census_text, _census_json),
-    "beta": ("beta: ", "beta", "cuts", _census_text, _census_json),
+    "beta": ("beta: ", "beta", "dual.paths", _census_text, _census_json),
     "small_counts": ("small counts: ", "small_counts", "small", _small_text, _small_json),
     "table": (None, "table", "table", None, _table_json),
 }
@@ -420,7 +392,7 @@ def _render(
 
 
 def _run_views(system: SystemDoc, options: Options, names: Sequence[str]) -> Report:
-    a = _Analysis(system, options)
+    a = _Analysis.of(system, options)
     views = [_VIEWS[name] for name in names]
 
     def lines() -> list[str]:
@@ -439,7 +411,7 @@ def _run_reliability(system: SystemDoc, options: Options) -> Report:
     p = options.p
     if len(p) == 1:
         p = p * system.n
-    value = evaluate_reliability(_Analysis(system, options).form, p)
+    value = evaluate_reliability(_Analysis.of(system, options).form, p)
     rendered = str(value)
     return _render(
         options,
@@ -453,7 +425,7 @@ def _run_reliability(system: SystemDoc, options: Options) -> Report:
 
 
 def _run_verify(system: SystemDoc, options: Options) -> Report:
-    a = _Analysis(system, options)
+    a = _Analysis.of(system, options)
     table = a.table
     if table.n > VERIFY_N_MAX:
         raise CapacityError(
@@ -461,7 +433,7 @@ def _run_verify(system: SystemDoc, options: Options) -> Report:
         )
     form = mobius_transform(table)
     paths = a.paths
-    cuts = minimal_cut_sets(table)
+    cuts = a.dual.paths
 
     def verdict(ok: bool) -> str:
         return "ok" if ok else "MISMATCH"
@@ -478,7 +450,7 @@ def _run_verify(system: SystemDoc, options: Options) -> Report:
         ("minimal cut sets match definition", verdict(cuts == oracle.oracle_minimal_cut_sets(table)))
     )
     checks.append(
-        ("dual table matches definition", verdict(dualize_table(table) == oracle.oracle_dual_table(table)))
+        ("dual table matches definition", verdict(a.dual.table == oracle.oracle_dual_table(table)))
     )
     if paths.r <= _VERIFY_FORMATION_R_MAX:
         candidates = sorted(

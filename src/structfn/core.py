@@ -89,6 +89,7 @@ def _iter_bit_positions(bits: int) -> Iterator[int]:
 _REV8 = bytes(int(format(b, "08b")[::-1], 2) for b in range(256))
 
 _NOT_BINARY = re.compile("[^01]")
+_BYTE_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
 def _subset_sort_key(mask: int) -> int:
@@ -294,7 +295,7 @@ class TruthTable:
 
         Accepts a '0'/'1' string or an iterable of 0/1 integers of length 2^n.
         """
-        # Linear in 2^n: one base-2 parse or one numpy pack, not a shift per entry.
+        # Linear in 2^n: one base-2 parse, not a shift per entry.
         if isinstance(values, str):
             bad = _NOT_BINARY.search(values)
             if bad:
@@ -304,12 +305,12 @@ class TruthTable:
             count = len(values)
             bits = int(values[::-1], 2) if values else 0
         else:
-            seq = [operator.index(v) for v in values]
-            for pos, v in enumerate(seq):
-                if v not in (0, 1):
-                    raise ValueError(f"table value {v} at position {pos} is not 0 or 1")
+            seq = list(map(operator.index, values))
+            if not set(seq) <= {0, 1}:
+                pos, v = next((pos, v) for pos, v in enumerate(seq) if v not in (0, 1))
+                raise ValueError(f"table value {v} at position {pos} is not 0 or 1")
             count = len(seq)
-            bits = _pack_values(np.array(seq, dtype=np.uint8))
+            bits = int(bytes(reversed(seq)).translate(_BYTE_DIGITS), 2) if seq else 0
         if n is None:
             if not count:
                 raise ValueError("a table needs 2^n values for some n >= 1, got none")

@@ -24,10 +24,13 @@ from structfn import (
     R_MAX,
     CapacityError,
     MultilinearForm,
+    diagonal_from_paths,
+    dualize_table,
     evaluate_inclusion_exclusion,
     evaluate_reliability,
     minimal_cut_sets,
     mobius_transform,
+    signature_boland,
     simple_form_from_paths,
     table_from_paths,
 )
@@ -196,6 +199,38 @@ class TestAnalyze:
             payloads.append(payload)
         assert all(p == payloads[0] for p in payloads[1:])
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dual_views_match_library_routes(self, tmp_path, capsys, n):
+        # Unlike the self-dual bridge, these systems tell dual views from primal ones.
+        rng = random.Random(1300 + n)
+        for _ in range(3):
+            paths = greedy_antichain(rng, n, rng.randint(1, 2 * n), 1, n)
+            table = table_from_paths(paths)
+            cuts = minimal_cut_sets(table)
+            docs = [
+                {"n": n, "paths": [list(m.components()) for m in paths.members]},
+                {"n": n, "cuts": [list(m.components()) for m in cuts.members]},
+                {"n": n, "table": table.values_string()},
+                {
+                    "n": n,
+                    "simple_form": [
+                        {"subset": list(m.components()), "coeff": c}
+                        for m, c in mobius_transform(table).terms()
+                    ],
+                },
+            ]
+            dual_sig = [str(v) for v in signature_boland(dualize_table(table)).s]
+            alpha = paths.size_census() + (0,)
+            beta = cuts.size_census() + (0,)
+            small = {"alpha1": alpha[0], "alpha2": alpha[1], "beta1": beta[0], "beta2": beta[1]}
+            for doc in docs:
+                rc = main(["analyze", "--format", "json", write_doc(tmp_path, doc)])
+                assert rc == EXIT_OK
+                payload = json.loads(capsys.readouterr().out)
+                assert payload["dual_signature"] == dual_sig == payload["signature"][::-1]
+                assert payload["dual_diagonal"] == list(diagonal_from_paths(cuts).d)
+                assert payload["small_counts"] == small
+
     def test_non_semicoherent_input(self, tmp_path, capsys):
         rc = main(["analyze", write_doc(tmp_path, {"n": 2, "table": "0110"})])
         err = capsys.readouterr().err
@@ -294,8 +329,7 @@ class TestReliability:
         def refuse(*args, **kwargs):
             raise AssertionError("reliability prints nothing that needs cuts")
 
-        monkeypatch.setattr("structfn.cli.minimal_cut_sets", refuse)
-        monkeypatch.setattr("structfn.cli.dual_simple_form_from_cuts", refuse)
+        monkeypatch.setattr("structfn.cli.dualize_table", refuse)
         n = doc["n"]
         paths = family(doc["paths"], n)
         primes = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67)
@@ -543,7 +577,7 @@ class TestCommandScope:
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS["bridge", command, fmt]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("command", ["paths", "cuts", "signature"])
+    @pytest.mark.parametrize("command", ["paths", "cuts", "signature", "counts"])
     def test_answers_without_the_mobius_pass(self, tmp_path, capsys, monkeypatch, command, fmt):
         def refuse(*args, **kwargs):
             raise AssertionError(f"{command} prints no dense transform")
@@ -576,6 +610,20 @@ class TestCommandScope:
         assert built == [family(LATTICE_N20_PATHS, 20).masks()]
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == STDOUT_DIGESTS["lattice_n20", command, fmt]
+
+    def test_form_fallback_reuses_the_table(self, tmp_path, capsys, monkeypatch):
+        table = table_from_paths(family(BRIDGE_PATHS, BRIDGE_N))
+        doc = {"n": BRIDGE_N, "table": table.values_string()}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a table document needs no table built from its paths")
+
+        for holder in ("transform", "cli"):
+            monkeypatch.setattr(f"structfn.{holder}.table_from_paths", refuse)
+        rc = main(["simple-form", "--max-r", "1", write_doc(tmp_path, doc)])
+        assert rc == EXIT_OK
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == STDOUT_DIGESTS["bridge", "simple-form", "text"]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command", ["analyze", "dual", "simple-form"])

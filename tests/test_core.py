@@ -3,6 +3,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 
 from conftest import BRIDGE_N, BRIDGE_PATHS, LATTICE_N20_PATHS, coproduct_table, family
@@ -123,6 +124,8 @@ class TestFromValuesMessages:
             ("011", None, "expected 2 values for n=1, got 3"),
             ([0, 0, 0, 1, 1], None, "expected 4 values for n=2, got 5"),
             ("", 2, "expected 4 values for n=2, got 0"),
+            # bytes() takes 255, so only the 0/1 check rejects it.
+            ([0, 255], None, "table value 255 at position 1 is not 0 or 1"),
         ],
     )
     def test_message(self, values, n, message):
@@ -135,6 +138,7 @@ class TestFromValuesMessages:
         assert TruthTable.from_values(iter([0, 1, 1, 1])) == expected
         assert TruthTable.from_values((False, True, True, True), n=2) == expected
         assert TruthTable.from_values(range(2), n=1) == TruthTable(n=1, bits=0b10)
+        assert TruthTable.from_values([np.int64(v) for v in (0, 1, 1, 1)]) == expected
 
 
 class TestFromValuesScale:

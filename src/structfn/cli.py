@@ -47,8 +47,8 @@ from .reliability import diagonal_coefficients, evaluate_reliability
 from .signature import signature_boland, signature_from_diagonal, small_counts_from_signature
 from .transform import (
     R_MAX,
+    _form_of,
     _minimal_paths,
-    _simple_form,
     dualize_table,
     formation_balance,
     table_from_cuts,
@@ -233,9 +233,7 @@ class _Analysis:
     @cached_property
     def form(self) -> MultilinearForm:
         o = self._options
-        return _simple_form(
-            self.paths, "simple_form_from_paths", "path", o.max_r, o.max_n, table=self.table
-        )
+        return _form_of(self.paths, o.max_r, o.max_n, table=self.table)
 
     @cached_property
     def diagonal(self) -> DiagonalPoly:
@@ -424,6 +422,17 @@ def _run_reliability(system: SystemDoc, options: Options) -> Report:
     )
 
 
+def _formations_match(paths: SetFamily, form: MultilinearForm) -> bool:
+    """Odd minus even formations, the formation balance and the coefficient
+    agree on every term of the form and every subset of at most two components."""
+    candidates = set(form.coeffs) | {m for m in range(1 << form.n) if m.bit_count() <= 2}
+    for mask in sorted(candidates):
+        odd, even = oracle.oracle_formations(paths, mask)
+        if not odd - even == formation_balance(paths, mask) == form.coefficient(mask):
+            return False
+    return True
+
+
 def _run_verify(system: SystemDoc, options: Options) -> Report:
     a = _Analysis.of(system, options)
     table = a.table
@@ -433,56 +442,32 @@ def _run_verify(system: SystemDoc, options: Options) -> Report:
         )
     form = mobius_transform(table)
     paths = a.paths
-    cuts = a.dual.paths
-
-    def verdict(ok: bool) -> str:
-        return "ok" if ok else "MISMATCH"
-
-    checks: list[tuple[str, str]] = []
-    checks.append(("zeta of mobius reproduces table", verdict(zeta_transform(form) == table)))
-    checks.append(
-        ("mobius matches direct polynomial expansion", verdict(form == oracle.oracle_simple_form(table)))
-    )
-    checks.append(
-        ("minimal path sets match definition", verdict(paths == oracle.oracle_minimal_path_sets(table)))
-    )
-    checks.append(
-        ("minimal cut sets match definition", verdict(cuts == oracle.oracle_minimal_cut_sets(table)))
-    )
-    checks.append(
-        ("dual table matches definition", verdict(a.dual.table == oracle.oracle_dual_table(table)))
-    )
-    if paths.r <= _VERIFY_FORMATION_R_MAX:
-        candidates = sorted(
-            set(form.coeffs) | {m for m in range(1 << table.n) if m.bit_count() <= 2}
-        )
-        formations_ok = True
-        for mask in candidates:
-            odd, even = oracle.oracle_formations(paths, mask)
-            balance = formation_balance(paths, mask)
-            if odd - even != balance or balance != form.coefficient(mask):
-                formations_ok = False
-                break
-        checks.append(("formation census matches simple form", verdict(formations_ok)))
-    else:
-        checks.append(
-            (
-                "formation census matches simple form",
-                f"skipped ({paths.r} path sets exceeds oracle cap {_VERIFY_FORMATION_R_MAX})",
-            )
-        )
-    checks.append(
-        (
-            "signature routes agree",
-            verdict(signature_boland(table) == signature_from_diagonal(diagonal_coefficients(form))),
-        )
-    )
-    vertices_ok = all(
-        evaluate_reliability(form, [m >> i & 1 for i in range(table.n)]) == table.phi(m)
-        for m in range(1 << table.n)
-    )
-    checks.append(("reliability at vertices matches table", verdict(vertices_ok)))
-
+    # Each check's outcome: True, False, or the reason it was skipped.
+    outcomes = {
+        "zeta of mobius reproduces table": zeta_transform(form) == table,
+        "mobius matches direct polynomial expansion": form == oracle.oracle_simple_form(table),
+        "minimal path sets match definition": paths == oracle.oracle_minimal_path_sets(table),
+        "minimal cut sets match definition": (
+            a.dual.paths == oracle.oracle_minimal_cut_sets(table)
+        ),
+        "dual table matches definition": a.dual.table == oracle.oracle_dual_table(table),
+        "formation census matches simple form": (
+            _formations_match(paths, form)
+            if paths.r <= _VERIFY_FORMATION_R_MAX
+            else f"skipped ({paths.r} path sets exceeds oracle cap {_VERIFY_FORMATION_R_MAX})"
+        ),
+        "signature routes agree": (
+            signature_boland(table) == signature_from_diagonal(diagonal_coefficients(form))
+        ),
+        "reliability at vertices matches table": all(
+            evaluate_reliability(form, [m >> i & 1 for i in range(table.n)]) == table.phi(m)
+            for m in range(1 << table.n)
+        ),
+    }
+    checks = [
+        (name, outcome if isinstance(outcome, str) else "ok" if outcome else "MISMATCH")
+        for name, outcome in outcomes.items()
+    ]
     passed = sum(1 for _, result in checks if result != "MISMATCH")
     verified = passed == len(checks)
     summary = f"verification: {'PASS' if verified else 'FAIL'} ({passed}/{len(checks)} checks)"

@@ -567,6 +567,5 @@ def mobius_transform(table: TruthTable, *, max_n: "int | None" = None) -> Multil
     # +-2^(k-1) <= 2^23 for n <= 24 and int32 is exact.
     arr = _unpack_values(table.bits, table.n)
     _lattice_pass(arr, table.n, -1)
-    nonzero = np.nonzero(arr)[0]
-    coeffs = {int(m): int(arr[m]) for m in nonzero}
-    return MultilinearForm(n=table.n, coeffs=coeffs)
+    nonzero = np.flatnonzero(arr)
+    return MultilinearForm(n=table.n, coeffs=dict(zip(nonzero.tolist(), arr[nonzero].tolist())))

@@ -36,7 +36,7 @@ from .core import (
 )
 from .transform import (
     _expands,
-    _formation_signs,
+    _form_of,
     _minimal_family,
     _require_members,
     table_from_paths,
@@ -258,9 +258,4 @@ def diagonal_from_paths(
     with a warning; redundant members never change the result.
     """
     family = _minimal_family(paths, "diagonal_from_paths")
-    if _expands(family.r, family, max_r, max_n):
-        d = [0] * family.n
-        for union, count in _formation_signs(family.masks()).items():
-            d[union.bit_count() - 1] += count
-        return DiagonalPoly(n=family.n, d=tuple(d))
-    return diagonal_coefficients(mobius_transform(table_from_paths(family)))
+    return diagonal_coefficients(_form_of(family, max_r, max_n))

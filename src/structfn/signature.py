@@ -27,7 +27,8 @@ from .core import (
     _require_semicoherent,
     _true_count_by_size,
 )
-from .reliability import diagonal_from_paths
+from .reliability import diagonal_coefficients
+from .transform import _form_of, _minimal_family
 
 __all__ = [
     "signature_boland",
@@ -144,5 +145,6 @@ def small_counts_from_signature(sig: SignatureVector) -> tuple[int, int, int, in
 def signature_from_paths(
     paths: SetFamily, *, max_r: "int | None" = None, max_n: "int | None" = None
 ) -> SignatureVector:
-    """Signature computed from the minimal path sets without building a table."""
-    return signature_from_diagonal(diagonal_from_paths(paths, max_r=max_r, max_n=max_n))
+    """Signature read off the simple form expanded from the minimal path sets."""
+    family = _minimal_family(paths, "signature_from_paths")
+    return signature_from_diagonal(diagonal_coefficients(_form_of(family, max_r, max_n)))

@@ -7,12 +7,13 @@ inclusion-minimal families back out of tables or forms, dualizing, and
 expanding families into simple forms by inclusion-exclusion over subfamily
 unions.
 
-Forms, diagonals and formation balances of an r-member family come from one
-pass over the set L of its subfamily unions, doing work r * |L| <= 2^(r+1);
-only inclusion-exclusion reliability enumerates all 2^r subfamilies. When r
-exceeds the expansion cap they fall back to the dense table route, which is
-bounded by the component cap instead; only when both caps are exceeded do
-they raise :class:`~structfn.core.CapacityError`.
+Public family functions minimize their input under their own name. Forms,
+the diagonals and signatures read off them, and formation balances come from
+one pass over the set L of an r-member family's subfamily unions, doing work
+r * |L| <= 2^(r+1); only inclusion-exclusion reliability enumerates all 2^r
+subfamilies. When r exceeds the expansion cap they fall back to the dense
+table route, which is bounded by the component cap instead; only when both
+caps are exceeded do they raise :class:`~structfn.core.CapacityError`.
 """
 
 from __future__ import annotations
@@ -70,16 +71,14 @@ def _require_members(family: SetFamily, noun: str = "path") -> None:
         raise ValueError(f"at least one {noun} set required")
 
 
-def _minimal_family(
-    family: SetFamily, operation: str, noun: str = "path", stacklevel: int = 3
-) -> SetFamily:
-    """Minimize with a warning, then reject an empty family. The default
-    stacklevel points the warning at the caller of a public function."""
+def _minimal_family(family: SetFamily, operation: str, noun: str = "path") -> SetFamily:
+    """Minimize with a warning, then reject an empty family. Only a public
+    function named ``operation`` calls this, so the warning points at its caller."""
     if not family.is_antichain():
         warnings.warn(
             f"{operation} expects a minimal family; redundant supersets were dropped",
             NonMinimalFamilyWarning,
-            stacklevel=stacklevel,
+            stacklevel=3,
         )
         family = family.minimized()
     _require_members(family, noun)
@@ -205,26 +204,21 @@ def _formation_signs(masks: Sequence[int]) -> dict[int, int]:
     return {u: c for u, c in acc.items() if c}
 
 
-def _simple_form(
-    family: SetFamily,
-    operation: str,
-    noun: str,
-    max_r: "int | None",
-    max_n: "int | None",
-    table: "TruthTable | None" = None,
+def _form_of(
+    family: SetFamily, max_r: "int | None", max_n: "int | None", table: "TruthTable | None" = None
 ) -> MultilinearForm:
-    """The form of the system whose minimal path sets are ``family``.
+    """The form of the system whose minimal path sets, a nonempty antichain, are ``family``.
 
-    ``table``, when given, must be that system's table; the dense fallback
+    The one choice between the union-closure kernel and the dense Möbius
+    fallback. ``table``, when given, must be the system's table; the fallback
     then transforms it instead of rebuilding it from the family.
     """
-    # Both public expansions keep their own def, so messages and profiles name each.
-    family = _minimal_family(family, operation, noun, stacklevel=4)
     if _expands(family.r, family, max_r, max_n):
         return MultilinearForm(n=family.n, coeffs=_formation_signs(family.masks()))
     return mobius_transform(table_from_paths(family) if table is None else table)
 
 
+# Both public expansions keep their own def, so messages and profiles name each.
 def simple_form_from_paths(
     paths: SetFamily, *, max_r: "int | None" = None, max_n: "int | None" = None
 ) -> MultilinearForm:
@@ -235,7 +229,7 @@ def simple_form_from_paths(
     resolved before the form is returned. Non-minimal input is minimized with
     a warning first (the result would be the same either way).
     """
-    return _simple_form(paths, "simple_form_from_paths", "path", max_r, max_n)
+    return _form_of(_minimal_family(paths, "simple_form_from_paths"), max_r, max_n)
 
 
 def dual_simple_form_from_cuts(
@@ -246,7 +240,7 @@ def dual_simple_form_from_cuts(
     The cuts are the dual's minimal path sets, so the same inclusion-exclusion
     over subfamily unions applies to them verbatim.
     """
-    return _simple_form(cuts, "dual_simple_form_from_cuts", "cut", max_r, max_n)
+    return _form_of(_minimal_family(cuts, "dual_simple_form_from_cuts", "cut"), max_r, max_n)
 
 
 def paths_from_simple_form(form: MultilinearForm) -> SetFamily:

@@ -625,6 +625,17 @@ class TestCommandScope:
         digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
         assert digest == STDOUT_DIGESTS["bridge", "simple-form", "text"]
 
+    @pytest.mark.parametrize("command", ["analyze", "dual", "simple-form"])
+    def test_forms_skip_the_antichain_check(self, tmp_path, capsys, monkeypatch, command):
+        def refuse(*args, **kwargs):
+            raise AssertionError("paths read off a table are minimal by construction")
+
+        monkeypatch.setattr("structfn.core.SetFamily.is_antichain", refuse)
+        rc, out = run_cli(tmp_path, capsys, "lattice_n20", command, "text")
+        assert rc == EXIT_OK
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == STDOUT_DIGESTS["lattice_n20", command, "text"]
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command", ["analyze", "dual", "simple-form"])
     def test_renders_one_format(self, tmp_path, capsys, monkeypatch, command, fmt):

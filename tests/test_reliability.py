@@ -332,7 +332,7 @@ class TestExactIntegerRoute:
         def refuse(*args, **kwargs):
             raise AssertionError("the inclusion-exclusion walk must stay independent")
 
-        monkeypatch.setattr("structfn.reliability._formation_signs", refuse)
+        monkeypatch.setattr("structfn.transform._formation_signs", refuse)
         monkeypatch.setattr("structfn.reliability.mobius_transform", refuse)
         paths = family(BRIDGE_PATHS, BRIDGE_N)
         p = (Fraction(1, 3), Fraction(2, 3), Fraction(1, 5), Fraction(4, 5), Fraction(1, 7))

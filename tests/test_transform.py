@@ -38,6 +38,7 @@ from structfn import (
     minimal_path_sets,
     mobius_transform,
     paths_from_simple_form,
+    signature_from_paths,
     simple_form_from_paths,
     table_from_cuts,
     table_from_paths,
@@ -353,6 +354,7 @@ class TestRoutePolicy:
             formation_balance,
             diagonal_from_paths,
             cuts_from_paths,
+            signature_from_paths,
         ],
     )
     def test_non_minimal_warning_names_the_function_at_the_callers_line(self, call):

@@ -14,6 +14,11 @@ Mobius, whose 0/1 input keeps every partial sum within +-2^23 for n <= 24;
 int64 for zeta while the input magnitudes sum below 2^62; and Python
 integers in an object-dtype array otherwise, which only forms that are about
 to be rejected ever reach.
+
+numpy is imported on the first dense pass and otherwise not at all. The
+dense work is Mobius, zeta, and float or object inclusion-exclusion. Within
+the expansion cap, family routes, signatures, small counts and exact
+reliability run on Python integers alone and never load numpy.
 """
 
 from __future__ import annotations
@@ -24,8 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Union
-
-import numpy as np
 
 __all__ = [
     "N_MAX",
@@ -197,19 +200,25 @@ def _true_count_by_size(table: "TruthTable") -> tuple[int, ...]:
     return tuple((table.bits & p).bit_count() for p in patterns)
 
 
-def _unpack_values(bits: int, n: int) -> np.ndarray:
+def _unpack_values(bits: int, n: int):
+    """The 2^n table values as an int32 numpy array, entry m holding bit m."""
+    import numpy as np
+
     total = 1 << n
     raw = bits.to_bytes((total + 7) // 8, "little")
     unpacked = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=total, bitorder="little")
     return unpacked.astype(np.int32)
 
 
-def _pack_values(values01: np.ndarray) -> int:
+def _pack_values(values01) -> int:
+    """The table integer of a numpy array of 0/1 values, bit m from entry m."""
+    import numpy as np
+
     packed = np.packbits(values01.astype(np.uint8), bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _lattice_pass(arr: np.ndarray, n: int, sign: int) -> None:
+def _lattice_pass(arr, n: int, sign: int) -> None:
     """In place, for each component i: arr[A + i] += sign * arr[A] for A without i.
 
     sign = +1 is the zeta transform (sum over contained subsets) and sign = -1
@@ -538,6 +547,8 @@ def zeta_transform(form: MultilinearForm, *, max_n: "int | None" = None) -> Trut
     This inverts :func:`mobius_transform`. Raises NotStructureFunctionError if
     any subset sum leaves {0, 1}, naming the first offending subset.
     """
+    import numpy as np
+
     _check_max_n(form.n, max_n)
     # A genuine form has |coeff(A)| <= 2^(|A| - 1), so its magnitudes sum below
     # 3^n < 2^39 for n <= 24 and int64 is exact. Only coefficients of a form
@@ -561,6 +572,8 @@ def mobius_transform(table: TruthTable, *, max_n: "int | None" = None) -> Multil
 
     coeff(A) = sum over B inside A of (-1)^(|A| - |B|) * value(B).
     """
+    import numpy as np
+
     _check_max_n(table.n, max_n)
     # After the pass over k components each entry is an alternating sum of 0/1
     # values over the subsets of at most k components, so it stays within

@@ -25,8 +25,6 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     DiagonalPoly,
     MultilinearForm,
@@ -121,13 +119,15 @@ def evaluate_reliability(form: MultilinearForm, p: Sequence):
     return total
 
 
-def _subfamily_unions(masks: Sequence[int]) -> "tuple[np.ndarray, np.ndarray]":
-    """Union and odd size of every subfamily, in walk order.
+def _subfamily_unions(masks: Sequence[int]):
+    """Union and odd size of every subfamily, in walk order, as numpy arrays.
 
     Leaf j takes member i when bit len(masks) - 1 - i of j is set, so the
     first member varies slowest, as in the recursive walk. Masks have at most
     N_MAX = 24 bits, so int64 holds every union.
     """
+    import numpy as np
+
     unions = np.zeros(1, dtype=np.int64)
     odd = np.zeros(1, dtype=bool)
     for m in reversed(masks):
@@ -149,6 +149,8 @@ def _blocked_inclusion_exclusion(masks: Sequence[int], p: Sequence):
     hands numpy scalars to the products as they are instead of casting them to
     Python numbers.
     """
+    import numpy as np
+
     if all(type(value) is float for value in p):
         dtype, factors, total = np.float64, p, 0.0
     else:

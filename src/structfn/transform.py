@@ -21,8 +21,6 @@ from __future__ import annotations
 import warnings
 from typing import Sequence
 
-import numpy as np
-
 from .core import (
     CapacityError,
     InconsistentFormError,
@@ -114,16 +112,24 @@ def dualize_table(table: TruthTable) -> TruthTable:
     return TruthTable(n=table.n, bits=~reversed_bits & full)
 
 
+# Translates byte 0 to 0 and every other byte to 1.
+_NONZERO_FLAGS = bytes([0] + [1] * 255)
+
+
 def _table_bit_positions(bits: int, width: int) -> list[int]:
     """Set bit positions of a ``width``-bit table integer, ascending.
 
-    Linear in the width: numpy finds the nonzero bytes and only those are
+    Linear in the width: one translation flags the nonzero bytes, ``find``
+    skips the zero stretches between them, and only the nonzero bytes are
     expanded, where :func:`_iter_bit_positions` copies the whole integer per bit.
     """
     raw = bits.to_bytes((width + 7) // 8, "little")
+    flags = raw.translate(_NONZERO_FLAGS)
     positions: list[int] = []
-    for index in np.flatnonzero(np.frombuffer(raw, dtype=np.uint8)).tolist():
+    index = flags.find(1)
+    while index >= 0:
         positions.extend(8 * index + j for j in _BYTE_BITS[raw[index]])
+        index = flags.find(1, index + 1)
     return positions
 
 

@@ -100,6 +100,12 @@ LATTICE_N20_PATHS = (
     (1, 13, 16), (3, 7, 8, 11),
 )
 
+# The n = 24 shape of the lattice benchmark; its dual has 336 minimal paths.
+LATTICE_N24_PATHS = (
+    (5, 18, 19), (16, 19, 20, 21), (1, 16, 20), (7, 8, 18, 23), (13, 16, 18, 21),
+    (5, 8, 21), (1, 3, 22, 24), (2, 10, 19), (9, 16, 20), (13, 14, 23, 24),
+)
+
 
 def kernel_families() -> list[SetFamily]:
     """Families on which the union-closure kernel is checked against the 2^r walk.

@@ -648,3 +648,67 @@ class TestCommandScope:
         rc, out = run_cli(tmp_path, capsys, "bridge", command, fmt)
         assert rc == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS["bridge", command, fmt]
+
+
+# Runs a fresh interpreter: imports structfn and structfn.cli, runs main on
+# the arguments if there are any, and reports on stderr whether numpy loaded.
+_NUMPY_PROBE = (
+    "import sys, structfn, structfn.cli\n"
+    "code = structfn.cli.main(sys.argv[1:]) if len(sys.argv) > 1 else 0\n"
+    "print('numpy' in sys.modules, file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+_FORMATS = ("text", "json")
+_RELIABILITY_P = {"float": ["--p", "0.9"], "exact": ["--p", "1/2", "--exact"]}
+
+# id -> (document, arguments before the document), or None for the import alone.
+NUMPY_FREE_RUNS = {
+    "import": None,
+    **{
+        f"bridge-{command}-{fmt}": ("bridge", [command, "--format", fmt])
+        for command in COMMANDS
+        if command not in ("reliability", "verify")
+        for fmt in _FORMATS
+    },
+    **{
+        f"bridge-reliability-{kind}-{fmt}": ("bridge", ["reliability", *p, "--format", fmt])
+        for kind, p in _RELIABILITY_P.items()
+        for fmt in _FORMATS
+    },
+    **{
+        f"lattice_n20-{command}-{fmt}": ("lattice_n20", [command, "--format", fmt])
+        for command in ("paths", "cuts", "signature", "counts")
+        for fmt in _FORMATS
+    },
+}
+# Positive controls: the dense Möbius pass of the lattice dual form, and verify's
+# Möbius and zeta checks.
+NUMPY_RUNS = {
+    "lattice_n20-analyze-text": ("lattice_n20", ["analyze"]),
+    "bridge-verify-text": ("bridge", ["verify"]),
+}
+
+
+def loads_numpy(tmp_path, run) -> bool:
+    """Whether a fresh process that runs the CLI on ``run`` imports numpy."""
+    argv = []
+    if run is not None:
+        doc_name, args = run
+        argv = [*args, write_doc(tmp_path, SCOPE_DOCS[doc_name], f"{doc_name}.json")]
+    result = subprocess.run(
+        [sys.executable, "-c", _NUMPY_PROBE, *argv], capture_output=True, text=True
+    )
+    assert result.returncode == EXIT_OK, result.stderr
+    return result.stderr.splitlines()[-1] == "True"
+
+
+class TestNumpyScope:
+    """numpy is imported on the first dense pass and otherwise not at all."""
+
+    @pytest.mark.parametrize("run", list(NUMPY_FREE_RUNS.values()), ids=list(NUMPY_FREE_RUNS))
+    def test_leaves_numpy_unloaded(self, tmp_path, run):
+        assert not loads_numpy(tmp_path, run)
+
+    @pytest.mark.parametrize("run", list(NUMPY_RUNS.values()), ids=list(NUMPY_RUNS))
+    def test_dense_passes_load_numpy(self, tmp_path, run):
+        assert loads_numpy(tmp_path, run)

@@ -2,13 +2,14 @@
 
 Reads a JSON system document (component count plus exactly one of paths,
 cuts, table, or simple_form), realizes the truth table, and reports the
-requested view of the system. The table is validated once; each command then
-computes only the views it prints and builds only the output format asked
-for. Every command but ``reliability`` and ``verify`` is a tuple of view
-names, and one view table gives each view's text label, JSON key, source and
-renderers for both formats; the dual views are those of a second analysis, of
-the dual table. Output is deterministic: families, terms, and JSON keys are
-always emitted in canonical order.
+requested view of the system. Only table and simple_form documents are
+validated; a family's table is semicoherent by construction. Each command
+then computes only the views it prints and builds only the output format
+asked for. Every command but ``reliability`` and ``verify`` is a tuple of
+view names, and one view table gives each view's text label, JSON key,
+source and renderers for both formats; the dual views are those of a second
+analysis, of the dual table. Output is deterministic: families, terms, and
+JSON keys are always emitted in canonical order.
 
 Exit codes: 0 success, 1 input error, 2 capacity exceeded, 3 verification
 mismatch.
@@ -189,21 +190,23 @@ def parse_document(text: str) -> SystemDoc:
 
 
 def _realize_table(system: SystemDoc, max_n: "int | None") -> TruthTable:
+    """The document's semicoherent table. Family tables need no check: a parsed
+    family is nonempty with nonempty members, so its up-set is semicoherent."""
     _check_max_n(system.n, max_n)
     if system.kind == "paths":
         return table_from_paths(system.paths, max_n=max_n)
     if system.kind == "cuts":
         return table_from_cuts(system.cuts, max_n=max_n)
-    if system.kind == "table":
-        return system.table
-    return zeta_transform(system.simple_form, max_n=max_n)
+    table = system.table or zeta_transform(system.simple_form, max_n=max_n)
+    _require_semicoherent(table)
+    return table
 
 
 class _Analysis:
     """The views of one semicoherent system, each computed on first use.
 
-    :meth:`of` realizes a document's table and checks semicoherence, once;
-    after that no view can fail. ``max_n`` has been checked, so a form whose
+    :meth:`of` takes the semicoherent table of :func:`_realize_table`; after
+    that no view can fail. ``max_n`` has been checked, so a form whose
     nonempty antichain of paths exceeds ``max_r`` falls back to this system's
     table instead of raising. ``dual`` analyzes the dual table, semicoherent
     too, whose minimal path sets are the minimal cut sets.
@@ -218,9 +221,7 @@ class _Analysis:
 
     @classmethod
     def of(cls, system: SystemDoc, options: Options) -> "_Analysis":
-        table = _realize_table(system, options.max_n)
-        _require_semicoherent(table)
-        return cls(system.kind, table, options)
+        return cls(system.kind, _realize_table(system, options.max_n), options)
 
     @cached_property
     def dual(self) -> "_Analysis":

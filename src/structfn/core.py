@@ -512,8 +512,9 @@ def validate_semicoherent(table: TruthTable) -> ValidationReport:
     """Check phi(empty) = 0, phi(full) = 1, and monotonicity.
 
     Monotonicity is checked along each of the n single-component directions,
-    which generate the whole subset order. Each reported monotonicity
-    violation names the first offending pair in that direction.
+    which generate the whole subset order: shifted up by component i, a true
+    subset lands on its superset with i, and a false entry there is a
+    violation. Each names the first offending pair in that direction.
     """
     n, bits = table.n, table.bits
     total = 1 << n
@@ -522,15 +523,14 @@ def validate_semicoherent(table: TruthTable) -> ValidationReport:
         violations.append("phi({}) = 1, expected 0")
     if not bits >> (total - 1) & 1:
         violations.append(f"phi({_set_str(total - 1)}) = 0, expected 1")
-    full = (1 << total) - 1
+    false_bits = ((1 << total) - 1) ^ bits
     for i, pattern in enumerate(_component_patterns(n)):
         step = 1 << i
-        without_i = full & ~pattern
-        bad = bits & ~(bits >> step) & without_i
+        bad = (bits << step) & false_bits & pattern
         if bad:
             m = (bad & -bad).bit_length() - 1
             violations.append(
-                f"monotonicity violated: phi({_set_str(m)}) = 1 > 0 = phi({_set_str(m | step)})"
+                f"monotonicity violated: phi({_set_str(m ^ step)}) = 1 > 0 = phi({_set_str(m)})"
             )
     return ValidationReport(ok=not violations, violations=tuple(violations))
 

@@ -32,7 +32,6 @@ from .core import (
     _BYTE_BITS,
     _check_max_n,
     _component_patterns,
-    _iter_bit_positions,
     _mask_bits,
     _minimal_true_bits,
     _require_semicoherent,
@@ -162,19 +161,19 @@ def minimal_cut_sets(table: TruthTable) -> SetFamily:
 def table_from_paths(paths: SetFamily, *, max_n: "int | None" = None) -> TruthTable:
     """The table of the system that works iff some path set is fully working.
 
-    Redundant (non-minimal) members are absorbed silently: a superset of
-    another path changes nothing. The result is always semicoherent.
+    The up-set of the members, in O(n * 2^n) whatever their number: each
+    component pattern carries the marked members up to their supersets, the
+    inverse of :func:`_minimal_true_bits`. Redundant (non-minimal) members are
+    absorbed silently, and the result is semicoherent by construction.
     """
     _check_max_n(paths.n, max_n)
     _require_members(paths)
-    patterns = _component_patterns(paths.n)
-    full = (1 << (1 << paths.n)) - 1
-    bits = 0
-    for member in paths.members:
-        contains_member = full
-        for i in _iter_bit_positions(member.bits):
-            contains_member &= patterns[i]
-        bits |= contains_member
+    marks = bytearray(((1 << paths.n) + 7) // 8)
+    for m in paths.masks():
+        marks[m >> 3] |= 1 << (m & 7)
+    bits = int.from_bytes(marks, "little")
+    for i, pattern in enumerate(_component_patterns(paths.n)):
+        bits |= (bits << (1 << i)) & pattern
     return TruthTable(n=paths.n, bits=bits)
 
 

@@ -16,6 +16,7 @@ from conftest import (
     LATTICE_N20_PATHS,
     OVERLAP_PAIRS,
     PAIRS_N,
+    coproduct_table,
     family,
     greedy_antichain,
 )
@@ -236,6 +237,32 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert rc == EXIT_INPUT
         assert "monotonicity violated" in err
+
+    @pytest.mark.parametrize(
+        "terms, message",
+        [
+            (
+                [([1], 1), ([1, 2], -1), ([1, 2, 3], 1)],
+                "monotonicity violated: phi({1}) = 1 > 0 = phi({1,2})",
+            ),
+            (
+                [([1], 1), ([1, 2], -1), ([1, 3], -1), ([1, 2, 3], 1)],
+                "phi({1,2,3}) = 0, expected 1; "
+                "monotonicity violated: phi({1}) = 1 > 0 = phi({1,2}); "
+                "monotonicity violated: phi({1}) = 1 > 0 = phi({1,3})",
+            ),
+        ],
+        ids=["one-direction", "two-directions-and-full-set"],
+    )
+    def test_form_document_with_a_non_monotone_table(self, tmp_path, capsys, terms, message):
+        """The form's table is 0/1, so only the semicoherence check rejects it,
+        and only after the component cap."""
+        form = [{"subset": subset, "coeff": coeff} for subset, coeff in terms]
+        doc = write_doc(tmp_path, {"n": 3, "simple_form": form})
+        assert main(["analyze", doc]) == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert main(["analyze", "--max-n", "2", doc]) == EXIT_CAPACITY
+        assert capsys.readouterr().err == "capacity error: n=3 exceeds max_n=2\n"
 
 
 class TestSingleViewCommands:
@@ -460,8 +487,20 @@ class TestDeterminism:
         assert capsys.readouterr().out == default
 
 
+BRIDGE_TABLE = coproduct_table(BRIDGE_PATHS, BRIDGE_N)
+
+# The bridge in each of the four document kinds, and the n = 20 lattice.
 SCOPE_DOCS = {
     "bridge": BRIDGE_DOC,
+    "bridge_cuts": {"n": BRIDGE_N, "cuts": [[1, 2], [4, 5], [1, 3, 5], [2, 3, 4]]},
+    "bridge_table": {"n": BRIDGE_N, "table": BRIDGE_TABLE.values_string()},
+    "bridge_form": {
+        "n": BRIDGE_N,
+        "simple_form": [
+            {"subset": list(m.components()), "coeff": c}
+            for m, c in mobius_transform(BRIDGE_TABLE).terms()
+        ],
+    },
     "lattice_n20": {"n": 20, "paths": [list(p) for p in LATTICE_N20_PATHS]},
 }
 
@@ -546,8 +585,24 @@ def run_cli(tmp_path, capsys, doc_name, command, fmt):
     return rc, capsys.readouterr().out
 
 
+# Every report command in both formats on the bridge in each document kind, by
+# test id; the paths document's cases are named by command and format alone.
+VALIDATION_CASES = {
+    f"{prefix}{command}-{fmt}": (doc_name, command, fmt)
+    for prefix, doc_name in (
+        ("", "bridge"),
+        ("cuts-", "bridge_cuts"),
+        ("table-", "bridge_table"),
+        ("form-", "bridge_form"),
+    )
+    for command in COMMANDS
+    if command != "verify"
+    for fmt in ("text", "json")
+}
+
+
 class TestCommandScope:
-    """Each command computes only the views it prints, from one validation."""
+    """Each command computes only the views it prints, from at most one validation."""
 
     @pytest.mark.parametrize("doc_name, command, fmt", sorted(STDOUT_DIGESTS))
     def test_stdout_is_unchanged(self, tmp_path, capsys, doc_name, command, fmt):
@@ -558,9 +613,14 @@ class TestCommandScope:
     def test_digests_cover_every_command(self):
         assert {c for _, c, _ in STDOUT_DIGESTS} == set(COMMANDS)
 
-    @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("command", [c for c in COMMANDS if c != "verify"])
-    def test_validates_once(self, tmp_path, capsys, monkeypatch, command, fmt):
+    @pytest.mark.parametrize(
+        "doc_name, command, fmt",
+        list(VALIDATION_CASES.values()),
+        ids=list(VALIDATION_CASES),
+    )
+    def test_validates_once(self, tmp_path, capsys, monkeypatch, doc_name, command, fmt):
+        """Only table and simple_form documents are checked, once; a family
+        document's table is semicoherent by construction."""
         import structfn.core
 
         calls = []
@@ -571,10 +631,12 @@ class TestCommandScope:
             return original(table)
 
         monkeypatch.setattr("structfn.core.validate_semicoherent", counted)
-        rc, out = run_cli(tmp_path, capsys, "bridge", command, fmt)
+        rc, out = run_cli(tmp_path, capsys, doc_name, command, fmt)
         assert rc == EXIT_OK
-        assert calls == [BRIDGE_N]
-        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS["bridge", command, fmt]
+        assert calls == ([BRIDGE_N] if doc_name in ("bridge_table", "bridge_form") else [])
+        if doc_name == "bridge":
+            digest = hashlib.sha256(out.encode()).hexdigest()
+            assert digest == STDOUT_DIGESTS["bridge", command, fmt]
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command", ["paths", "cuts", "signature", "counts"])

@@ -24,6 +24,7 @@ from structfn.core import (
     _component_patterns,
     _mask_labels,
     _reverse_bits,
+    _set_str,
     _size_patterns,
     _subset_sort_key,
 )
@@ -115,17 +116,29 @@ class TestFromValuesMessages:
             ("01x1", None, "table character 'x' at position 2 is not 0 or 1"),
             ("0 1", 3, "table character ' ' at position 1 is not 0 or 1"),
             ("0\u0661", None, "table character '\u0661' at position 1 is not 0 or 1"),
-            ([0, 1, 2, 1], None, "table value 2 at position 2 is not 0 or 1"),
-            ([0, -1, 1], 4, "table value -1 at position 1 is not 0 or 1"),
-            ([True, 7], None, "table value 7 at position 1 is not 0 or 1"),
+            pytest.param(
+                [0, 1, 2, 1], None, "table value 2 at position 2 is not 0 or 1", id="list-2"
+            ),
+            pytest.param(
+                [0, -1, 1], 4, "table value -1 at position 1 is not 0 or 1", id="list-minus-1"
+            ),
+            pytest.param(
+                [True, 7], None, "table value 7 at position 1 is not 0 or 1", id="list-bool-7"
+            ),
             ("", None, "a table needs 2^n values for some n >= 1, got none"),
-            ([], None, "a table needs 2^n values for some n >= 1, got none"),
+            pytest.param(
+                [], None, "a table needs 2^n values for some n >= 1, got none", id="list-empty"
+            ),
             ("0101", 3, "expected 8 values for n=3, got 4"),
             ("011", None, "expected 2 values for n=1, got 3"),
-            ([0, 0, 0, 1, 1], None, "expected 4 values for n=2, got 5"),
+            pytest.param(
+                [0, 0, 0, 1, 1], None, "expected 4 values for n=2, got 5", id="list-length-5"
+            ),
             ("", 2, "expected 4 values for n=2, got 0"),
             # bytes() takes 255, so only the 0/1 check rejects it.
-            ([0, 255], None, "table value 255 at position 1 is not 0 or 1"),
+            pytest.param(
+                [0, 255], None, "table value 255 at position 1 is not 0 or 1", id="list-255"
+            ),
         ],
     )
     def test_message(self, values, n, message):
@@ -244,6 +257,29 @@ class TestMultilinearForm:
         assert form.total() == 1
 
 
+def downward_violations(table):
+    """The messages of validate_semicoherent as computed by shifting the table
+    down instead: per component, the true subsets lacking it whose superset
+    with it is false, masked by a complement pattern rebuilt each time."""
+    n, bits = table.n, table.bits
+    total = 1 << n
+    violations = []
+    if bits & 1:
+        violations.append("phi({}) = 1, expected 0")
+    if not bits >> (total - 1) & 1:
+        violations.append(f"phi({_set_str(total - 1)}) = 0, expected 1")
+    full = (1 << total) - 1
+    for i, pattern in enumerate(_component_patterns(n)):
+        step = 1 << i
+        bad = bits & ~(bits >> step) & full & ~pattern
+        if bad:
+            m = (bad & -bad).bit_length() - 1
+            violations.append(
+                f"monotonicity violated: phi({_set_str(m)}) = 1 > 0 = phi({_set_str(m | step)})"
+            )
+    return tuple(violations)
+
+
 class TestValidateSemicoherent:
     def test_bridge_ok(self):
         table = table_from_paths(family(BRIDGE_PATHS, BRIDGE_N))
@@ -266,6 +302,27 @@ class TestValidateSemicoherent:
         report = validate_semicoherent(TruthTable.from_values("0110"))
         assert not report.ok
         assert any("phi({1}) = 1 > 0 = phi({1,2})" in v for v in report.violations)
+
+    def test_messages_match_the_downward_shift_on_every_small_table(self):
+        for n in range(1, 5):
+            for bits in range(1 << (1 << n)):
+                table = TruthTable(n=n, bits=bits)
+                assert validate_semicoherent(table).violations == downward_violations(table)
+
+    def test_messages_match_the_downward_shift_on_random_tables(self):
+        rng = random.Random(17)
+        for n in range(5, 11):
+            total = 1 << n
+            for _ in range(40):
+                # Uniform tables fail in every direction; an up-set with a few
+                # flipped entries fails in only some, at scattered pairs.
+                members = [rng.randrange(1, total) for _ in range(rng.randint(1, 6))]
+                up_set = sum(1 << a for a in range(total) if any(m & ~a == 0 for m in members))
+                flipped = {rng.randrange(total) for _ in range(rng.randint(1, 3))}
+                flips = sum(1 << a for a in flipped)
+                for bits in (rng.getrandbits(total), up_set ^ flips):
+                    table = TruthTable(n=n, bits=bits)
+                    assert validate_semicoherent(table).violations == downward_violations(table)
 
 
 class TestZetaTransform:
@@ -307,6 +364,7 @@ class TestZetaTransform:
                 f"value {1 << 62} at subset {{2}} is not in {{0, 1}}",
             ),
         ],
+        ids=["plus-2^62", "minus-2^70", "cancelling-2^62"],
     )
     def test_rejects_magnitudes_beyond_int64(self, n, coeffs, message):
         # Magnitudes summing to 2^62 or more take the Python-integer pass.

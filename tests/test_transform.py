@@ -104,6 +104,24 @@ def walk_formation_signs(masks):
     return acc
 
 
+def mask_family(masks, n: int) -> SetFamily:
+    return SetFamily(n, tuple(SubsetMask(m, n) for m in masks))
+
+
+def per_member_table(masks, n: int) -> int:
+    """The table bits as the union, member by member, of the subsets containing it."""
+    total = 1 << n
+    patterns = [sum(1 << a for a in range(total) if a >> i & 1) for i in range(n)]
+    bits = 0
+    for m in masks:
+        contains_m = (1 << total) - 1
+        for i in range(n):
+            if m >> i & 1:
+                contains_m &= patterns[i]
+        bits |= contains_m
+    return bits
+
+
 def packed(positions, width: int) -> int:
     """The ``width``-bit integer with exactly the given bits set, built bytewise."""
     raw = bytearray((width + 7) // 8)
@@ -242,6 +260,36 @@ class TestTableFromFamilies:
 
     def test_single_cut_is_parallel(self):
         assert table_from_cuts(family([(1, 2)], 2)) == TruthTable.from_values("0111")
+
+    def test_up_closure_matches_the_per_member_build(self):
+        rng = random.Random(23)
+        for n in range(1, 11):
+            total = 1 << n
+            for _ in range(30):
+                # Random members, so some contain others and are not minimal.
+                masks = {rng.randrange(1, total) for _ in range(rng.randint(1, min(total, 40)))}
+                paths = mask_family(masks, n)
+                expected = per_member_table(masks, n)
+                assert table_from_paths(paths).bits == expected
+                assert table_from_cuts(paths) == dualize_table(TruthTable(n=n, bits=expected))
+
+    def test_up_closure_inverts_the_minimal_entries(self):
+        for n in range(1, 5):
+            for table in enumerate_semicoherent(n):
+                minimal = _table_bit_positions(_minimal_true_bits(table.bits, n), 1 << n)
+                assert table_from_paths(mask_family(minimal, n)) == table
+
+    def test_thousands_of_members_at_n24(self):
+        rng = random.Random(11)
+        masks: set[int] = set()
+        while len(masks) < 3000:
+            masks.add(sum(1 << c for c in rng.sample(range(24), 8)))
+        paths = mask_family(masks, 24)
+        start = time.perf_counter()
+        table = table_from_paths(paths)
+        assert time.perf_counter() - start < 2.0
+        # Members of one size form an antichain, so they are the minimal entries.
+        assert _table_bit_positions(_minimal_true_bits(table.bits, 24), 1 << 24) == sorted(masks)
 
 
 class TestSimpleFormExpansion:

@@ -22,7 +22,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Sequence
@@ -38,7 +38,6 @@ from .core import (
     TruthTable,
     _BYTE_LABELS,
     _check_max_n,
-    _mask_labels,
     _require_semicoherent,
     _subset_sort_key,
     mobius_transform,
@@ -306,12 +305,29 @@ def _family_json(family: SetFamily) -> list[list[int]]:
     return [list(m.components()) for m in family.members]
 
 
-def _form_json(form: MultilinearForm) -> list[dict]:
+# Items of a term's "subset" list, which sits at depth 3 of the JSON output.
+_ITEM_SEP = ",\n        "
+
+
+@cache
+def _byte_items() -> tuple[tuple[str, ...], ...]:
+    """[k][b]: the labels of _BYTE_LABELS[k][b] as "subset" items, built on first use."""
+    return tuple(tuple(_ITEM_SEP.join(map(str, ls)) for ls in level) for level in _BYTE_LABELS)
+
+
+def _form_json(form: MultilinearForm) -> str:
+    """The form's {"coeff", "subset"} terms in canonical order, as the text that
+    ``json.dumps(indent=2, sort_keys=True)`` writes for them as a top-level
+    payload value (depth 1). :func:`_render` puts this text in place of the
+    form's placeholder; at any other depth it would be misindented."""
     coeffs = form.coeffs
-    return [
-        {"subset": list(_mask_labels(m)), "coeff": coeffs[m]}
-        for m in sorted(coeffs, key=_subset_sort_key)
-    ]
+    low, mid, high = _byte_items()
+    terms = []
+    for m in sorted(coeffs, key=_subset_sort_key):
+        items = _ITEM_SEP.join(filter(None, (low[m & 255], mid[m >> 8 & 255], high[m >> 16])))
+        subset = f"[\n        {items}\n      ]" if m else "[]"
+        terms.append(f'    {{\n      "coeff": {coeffs[m]},\n      "subset": {subset}\n    }}')
+    return "[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]"
 
 
 def _census_json(family: SetFamily) -> list[int]:
@@ -332,9 +348,9 @@ def _table_json(table: TruthTable) -> "str | None":
 
 # Every view a report command prints: its text label, JSON key, the _Analysis
 # attribute that holds it, and its text and JSON renderers. A view without a
-# label is JSON only, and a JSON renderer's None leaves its key out. The form
-# renderers are looked up when called, so a command reaches only those of the
-# format asked for.
+# label is JSON only, and a JSON renderer's None leaves its key out. A form
+# goes into the payload as it is, for _render to write; the form renderers are
+# looked up when called, so a command reaches only those of the format asked for.
 _VIEWS: dict[str, tuple] = {
     "n": ("n: ", "n", "table.n", str, int),
     "json_n": (None, "n", "table.n", None, int),
@@ -347,11 +363,11 @@ _VIEWS: dict[str, tuple] = {
     ),
     "form": (
         "simple form: ", "simple_form", "form",
-        lambda form: _form_text(form), lambda form: _form_json(form),
+        lambda form: _form_text(form), lambda form: form,
     ),
     "dual_form": (
         "dual simple form: ", "dual_simple_form", "dual.form",
-        lambda form: _form_text(form), lambda form: _form_json(form),
+        lambda form: _form_text(form), lambda form: form,
     ),
     "diagonal": ("diagonal: ", "diagonal", "diagonal.d", _diagonal_text, list),
     "dual_diagonal": ("dual diagonal: ", "dual_diagonal", "dual.diagonal.d", _diagonal_text, list),
@@ -384,10 +400,22 @@ COMMANDS = (*_COMMAND_VIEWS, "reliability", "verify")
 def _render(
     options: Options, lines: Callable[[], list[str]], payload: Callable[[], dict]
 ) -> Report:
-    """Build only the format asked for: text lines or the JSON payload."""
-    if options.fmt == "json":
-        return Report(text=json.dumps(payload(), indent=2, sort_keys=True))
-    return Report(text="\n".join(lines()))
+    """Build only the format asked for: text lines or the JSON payload.
+
+    JSON is what ``json.dumps(payload, indent=2, sort_keys=True)`` prints, from
+    that one call. A form in the payload stays out of it: the call sees the
+    placeholder "\\0" + key instead, whose encoding is then replaced by the
+    form's text from :func:`_form_json`. No other payload string holds a NUL,
+    so no other string can match a placeholder.
+    """
+    if options.fmt != "json":
+        return Report(text="\n".join(lines()))
+    data = payload()
+    forms = {key: value for key, value in data.items() if isinstance(value, MultilinearForm)}
+    text = json.dumps({**data, **{key: "\0" + key for key in forms}}, indent=2, sort_keys=True)
+    for key, form in forms.items():
+        text = text.replace(f'"\\u0000{key}"', _form_json(form), 1)
+    return Report(text=text)
 
 
 def _run_views(system: SystemDoc, options: Options, names: Sequence[str]) -> Report:

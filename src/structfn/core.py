@@ -362,6 +362,15 @@ class MultilinearForm:
         object.__setattr__(self, "coeffs", clean)
 
     @classmethod
+    def _trusted(cls, n: int, coeffs: dict[int, int]) -> "MultilinearForm":
+        """A form built by the library: ``coeffs`` already has ascending int
+        masks below 2^n and nonzero int coefficients, so nothing is re-checked."""
+        form = object.__new__(cls)
+        object.__setattr__(form, "n", n)
+        object.__setattr__(form, "coeffs", coeffs)
+        return form
+
+    @classmethod
     def from_terms(cls, terms: Iterable[tuple[Iterable[int], int]], n: int) -> "MultilinearForm":
         """Build a form from (components, coefficient) pairs with 1-based labels."""
         coeffs: dict[int, int] = {}
@@ -580,5 +589,5 @@ def mobius_transform(table: TruthTable, *, max_n: "int | None" = None) -> Multil
     # +-2^(k-1) <= 2^23 for n <= 24 and int32 is exact.
     arr = _unpack_values(table.bits, table.n)
     _lattice_pass(arr, table.n, -1)
-    nonzero = np.flatnonzero(arr)
-    return MultilinearForm(n=table.n, coeffs=dict(zip(nonzero.tolist(), arr[nonzero].tolist())))
+    nonzero = np.flatnonzero(arr)  # ascending
+    return MultilinearForm._trusted(table.n, dict(zip(nonzero.tolist(), arr[nonzero].tolist())))

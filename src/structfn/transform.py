@@ -219,7 +219,8 @@ def _form_of(
     then transforms it instead of rebuilding it from the family.
     """
     if _expands(family.r, family, max_r, max_n):
-        return MultilinearForm(n=family.n, coeffs=_formation_signs(family.masks()))
+        signs = _formation_signs(family.masks())
+        return MultilinearForm._trusted(family.n, dict(sorted(signs.items())))
     return mobius_transform(table_from_paths(family) if table is None else table)
 
 

@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -33,14 +34,18 @@ from structfn import (
     mobius_transform,
     signature_boland,
     simple_form_from_paths,
+    table_from_cuts,
     table_from_paths,
 )
+from structfn.core import _mask_labels, _subset_sort_key
 from structfn.cli import (
     COMMANDS,
     EXIT_CAPACITY,
     EXIT_INPUT,
     EXIT_MISMATCH,
     EXIT_OK,
+    VERIFY_N_MAX,
+    _form_json,
     main,
     parse_document,
 )
@@ -774,3 +779,111 @@ class TestNumpyScope:
     @pytest.mark.parametrize("run", list(NUMPY_RUNS.values()), ids=list(NUMPY_RUNS))
     def test_dense_passes_load_numpy(self, tmp_path, run):
         assert loads_numpy(tmp_path, run)
+
+
+def dict_form_json(form: MultilinearForm) -> list[dict]:
+    """A form's JSON value as the CLI once built it, for the stdlib to encode."""
+    coeffs = form.coeffs
+    return [
+        {"subset": list(_mask_labels(m)), "coeff": coeffs[m]}
+        for m in sorted(coeffs, key=_subset_sort_key)
+    ]
+
+
+SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_systems"
+
+# Documents whose JSON output is checked against the stdlib encoder, by name:
+# the three sample systems, of which "bridge" is BRIDGE_DOC, and the n = 20 lattice.
+ENCODER_DOCS = {
+    **{path.stem: json.loads(path.read_text()) for path in sorted(SAMPLE_DIR.glob("*.json"))},
+    "lattice_n20": SCOPE_DOCS["lattice_n20"],
+}
+assert ENCODER_DOCS["bridge"] == BRIDGE_DOC
+ENCODER_CASES = [
+    (doc_name, command)
+    for doc_name in ENCODER_DOCS
+    for command in COMMANDS
+    if not (command == "verify" and ENCODER_DOCS[doc_name]["n"] > VERIFY_N_MAX)
+]
+
+
+def seeded_form(rng: random.Random, terms: int) -> MultilinearForm:
+    """An n = 24 form whose masks use all three bytes, with coefficients of
+    either sign and magnitudes from 1 to past 10."""
+    coeffs = {}
+    while len(coeffs) < terms:
+        mask = rng.getrandbits(24) | 1 << rng.randrange(8) | 1 << rng.randrange(8, 16)
+        coeffs[mask | 1 << rng.randrange(16, 24)] = rng.choice((-1, 1)) * rng.randint(1, 5000)
+    coeffs[rng.getrandbits(8) | 1] = -rng.randint(10, 99)  # the low byte alone
+    coeffs[1 << 23] = 10
+    return MultilinearForm(24, coeffs)
+
+
+class TestFormJSON:
+    """Forms are written straight to JSON text, byte for byte what the stdlib
+    encoder prints for the term dicts."""
+
+    @pytest.mark.parametrize(
+        "doc_name, command", ENCODER_CASES, ids=[f"{d}-{c}" for d, c in ENCODER_CASES]
+    )
+    def test_matches_the_stdlib_encoder(self, tmp_path, capsys, doc_name, command):
+        doc = ENCODER_DOCS[doc_name]
+        extra = ["--p", "1/2", "--exact"] if command == "reliability" else []
+        rc = main([command, *extra, "--format", "json", write_doc(tmp_path, doc)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        system = parse_document(json.dumps(doc))
+        if system.kind == "paths":
+            table = table_from_paths(system.paths)
+        else:
+            table = table_from_cuts(system.cuts)
+        forms = {
+            "simple_form": mobius_transform(table),
+            "dual_simple_form": mobius_transform(dualize_table(table)),
+        }
+        expected = json.loads(out)
+        for key in forms.keys() & expected.keys():
+            expected[key] = dict_form_json(forms[key])
+        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_n24_forms(self, seed):
+        form = seeded_form(random.Random(seed), 300)
+        expected = json.dumps({"form": dict_form_json(form)}, indent=2, sort_keys=True)
+        assert '{\n  "form": ' + _form_json(form) + "\n}" == expected
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [{}, {0: 1}, {0: -12, 5: 3}, {0: 1, 1 << 16: -1}],
+        ids=["empty", "constant", "constant-and-low-byte", "constant-and-high-byte"],
+    )
+    def test_constant_term_and_empty_form(self, coeffs):
+        form = MultilinearForm(24, coeffs)
+        expected = json.dumps({"form": dict_form_json(form)}, indent=2, sort_keys=True)
+        assert '{\n  "form": ' + _form_json(form) + "\n}" == expected
+        assert ('"subset": []' in expected) == (0 in coeffs)
+
+    @pytest.mark.parametrize("command", ["analyze", "dual", "simple-form"])
+    def test_no_term_reaches_the_stdlib_encoder(self, tmp_path, capsys, monkeypatch, command):
+        import structfn.cli
+
+        original = structfn.cli.json.dumps
+        payloads = []
+
+        def checked(obj, *args, **kwargs):
+            payloads.append(obj)
+            for key, value in obj.items():
+                if isinstance(value, list) and any(
+                    isinstance(v, dict) and "coeff" in v for v in value
+                ):
+                    raise AssertionError(f"the terms of {key!r} went through json.dumps")
+            return original(obj, *args, **kwargs)
+
+        path = write_doc(tmp_path, SCOPE_DOCS["lattice_n20"])
+        monkeypatch.setattr(structfn.cli.json, "dumps", checked)
+        rc = main([command, "--format", "json", path])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert len(payloads) == 1
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == STDOUT_DIGESTS["lattice_n20", command, "json"]

@@ -44,6 +44,7 @@ from structfn import (
     simple_form_from_paths,
     table_from_cuts,
     table_from_paths,
+    zeta_transform,
 )
 from structfn.core import _BYTE_BITS, _iter_bit_positions, _minimal_true_bits
 from structfn.oracle import (
@@ -353,6 +354,50 @@ class TestUnionClosureKernel:
         walk = walk_formation_signs(paths.masks())
         for union, count in walk.items():
             assert formation_balance(paths, union) == count
+
+
+def assert_canonical(form: MultilinearForm) -> None:
+    """Keys ascend, coefficients are nonzero ints, and the checked constructor
+    rebuilds the same form."""
+    assert list(form.coeffs) == sorted(form.coeffs)
+    assert all(type(c) is int and c for c in form.coeffs.values())
+    assert form == MultilinearForm(form.n, dict(form.coeffs))
+
+
+class TestTrustedForms:
+    """The kernel and Möbius routes build forms without the public
+    constructor's checks; their output must already be what it would make."""
+
+    def built_unchecked(self, monkeypatch, build, inputs) -> list[MultilinearForm]:
+        def refuse(self):
+            raise AssertionError("a library-built form is not re-checked")
+
+        with monkeypatch.context() as m:
+            m.setattr(MultilinearForm, "__post_init__", refuse)
+            return [build(x) for x in inputs]
+
+    def test_kernel_forms(self, monkeypatch):
+        def refuse(table):
+            raise AssertionError("these families are within the expansion cap")
+
+        monkeypatch.setattr("structfn.transform.mobius_transform", refuse)
+        families = kernel_families()
+        forms = self.built_unchecked(monkeypatch, simple_form_from_paths, families)
+        for fam, form in zip(families, forms):
+            assert_canonical(form)
+            assert form.coeffs == {u: c for u, c in walk_formation_signs(fam.masks()).items() if c}
+
+    def test_mobius_forms(self, monkeypatch):
+        rng = random.Random(20261019)
+        tables = [table_from_paths(fam) for fam in kernel_families()]
+        tables += [
+            TruthTable(n=n, bits=rng.getrandbits(1 << n)) for n in range(1, 13) for _ in range(5)
+        ]
+        forms = self.built_unchecked(monkeypatch, mobius_transform, tables)
+        for table, form in zip(tables, forms):
+            assert_canonical(form)
+            assert form.n == table.n
+            assert zeta_transform(form) == table
 
 
 class TestPathsFromSimpleForm:

@@ -7,95 +7,17 @@ reference implementations live in :mod:`structfn.oracle`; the command line
 front end in :mod:`structfn.cli`.
 """
 
-from .core import (
-    N_MAX,
-    CapacityError,
-    DiagonalPoly,
-    InconsistentFormError,
-    InvalidSignatureError,
-    MultilinearForm,
-    NotSemicoherentError,
-    NotStructureFunctionError,
-    SetFamily,
-    SignatureVector,
-    SubsetMask,
-    TruthTable,
-    ValidationReport,
-    mobius_transform,
-    validate_semicoherent,
-    zeta_transform,
-)
-from .reliability import (
-    diagonal_coefficients,
-    diagonal_from_paths,
-    evaluate_inclusion_exclusion,
-    evaluate_reliability,
-)
-from .signature import (
-    coefficients_from_signature,
-    dual_signature,
-    signature_boland,
-    signature_from_diagonal,
-    signature_from_paths,
-    small_counts_from_coefficients,
-    small_counts_from_signature,
-)
-from .transform import (
-    R_MAX,
-    NonMinimalFamilyWarning,
-    cuts_from_paths,
-    dual_simple_form_from_cuts,
-    dualize_table,
-    formation_balance,
-    minimal_cut_sets,
-    minimal_path_sets,
-    paths_from_simple_form,
-    simple_form_from_paths,
-    table_from_cuts,
-    table_from_paths,
-)
+from . import core, reliability, signature, transform
+from .core import *
+from .reliability import *
+from .signature import *
+from .transform import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "N_MAX",
-    "R_MAX",
-    "__version__",
-    "CapacityError",
-    "NotSemicoherentError",
-    "NotStructureFunctionError",
-    "InconsistentFormError",
-    "InvalidSignatureError",
-    "NonMinimalFamilyWarning",
-    "SubsetMask",
-    "TruthTable",
-    "MultilinearForm",
-    "SetFamily",
-    "DiagonalPoly",
-    "SignatureVector",
-    "ValidationReport",
-    "validate_semicoherent",
-    "zeta_transform",
-    "mobius_transform",
-    "dualize_table",
-    "minimal_path_sets",
-    "minimal_cut_sets",
-    "table_from_paths",
-    "table_from_cuts",
-    "simple_form_from_paths",
-    "dual_simple_form_from_cuts",
-    "paths_from_simple_form",
-    "cuts_from_paths",
-    "formation_balance",
-    "evaluate_reliability",
-    "evaluate_inclusion_exclusion",
-    "diagonal_coefficients",
-    "diagonal_from_paths",
-    "signature_boland",
-    "signature_from_diagonal",
-    "dual_signature",
-    "coefficients_from_signature",
-    "small_counts_from_coefficients",
-    "small_counts_from_signature",
-    "signature_from_paths",
-]
+# Each module's __all__ is the one list of its public names.
+__all__ = ["__version__"]
+__all__ += core.__all__
+__all__ += transform.__all__
+__all__ += reliability.__all__
+__all__ += signature.__all__

@@ -11,14 +11,15 @@ source and renderers for both formats; the dual views are those of a second
 analysis, of the dual table. Output is deterministic: families, terms, and
 JSON keys are always emitted in canonical order.
 
-Exit codes: 0 success, 1 input error, 2 capacity exceeded, 3 verification
-mismatch.
+Exit codes: 0 success, 1 input error (or stdout closed early), 2 capacity
+exceeded, 3 verification mismatch.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -542,6 +543,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="structfn",
@@ -592,5 +594,11 @@ def main(argv: "Sequence[str] | None" = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    print(report.text)
+    try:
+        print(report.text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # a reader such as `head` closed stdout early
+        # Point stdout at devnull so the interpreter's own flush at exit is quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_INPUT
     return report.exit_code

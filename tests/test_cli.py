@@ -457,6 +457,42 @@ class TestExitCodes:
         assert rc == EXIT_INPUT
         assert "--max-r must be in 1..24" in capsys.readouterr().err
 
+    def test_parser_is_built_once(self, tmp_path, capsys, monkeypatch):
+        import structfn.cli
+
+        built = []
+        original = structfn.cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        structfn.cli._build_parser.cache_clear()
+        monkeypatch.setattr(structfn.cli._Parser, "__init__", counting)
+        assert main(["paths"]) == EXIT_INPUT  # the parser raises from error() ...
+        assert capsys.readouterr().err == (
+            "input error: the following arguments are required: document\n"
+        )
+        assert main(["paths", write_doc(tmp_path, BRIDGE_DOC)]) == EXIT_OK  # ... and is reused
+        out = capsys.readouterr().out
+        assert out == "n: 5\nminimal path sets: {1,4}, {2,5}, {1,3,5}, {2,3,4}\n"
+        assert len(built) == 1
+
+    def test_closed_stdout_ends_quietly(self, tmp_path):
+        # 2^16 - 1 terms, far more than a pipe buffer holds.
+        doc = write_doc(tmp_path, {"n": 16, "paths": [[i] for i in range(1, 17)]})
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "structfn", "simple-form", doc],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(10) == b"n: 16\nsimp"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_INPUT
+        assert err == b""
+
 
 class TestInputChannels:
     def test_stdin_document(self, capsys, monkeypatch):

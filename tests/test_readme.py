@@ -1,5 +1,7 @@
-"""README transcripts: every `$ structfn ...` example prints exactly what the README shows."""
+"""README examples: every `$ structfn ...` transcript prints exactly what the README
+shows, and the library quickstart evaluates to the values written under it."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -46,3 +48,26 @@ def test_transcript_matches_stdout(argv, expected, capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
     main(argv)
     assert capsys.readouterr().out == expected
+
+
+def readme_quickstart() -> str:
+    """The fenced `python` block of the "Library quickstart" section."""
+    section = README.read_text(encoding="utf-8").split("## Library quickstart\n", 1)[1]
+    return re.search(r"^```python\n(.*?)^```", section, re.M | re.S).group(1)
+
+
+def test_library_quickstart():
+    """Each bare expression followed by a `# ...` line has that line as its repr."""
+    source = readme_quickstart()
+    lines = source.splitlines()
+    namespace = {}
+    checked = 0
+    for node in ast.parse(source).body:
+        comment = lines[node.end_lineno] if node.end_lineno < len(lines) else ""
+        if isinstance(node, ast.Expr) and comment.startswith("# "):
+            value = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+            assert repr(value) == comment[2:]
+            checked += 1
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    assert checked >= 3

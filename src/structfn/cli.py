@@ -44,7 +44,7 @@ from .core import (
     mobius_transform,
     zeta_transform,
 )
-from .reliability import diagonal_coefficients, evaluate_reliability
+from .reliability import _check_probabilities, diagonal_coefficients, evaluate_reliability
 from .signature import signature_boland, signature_from_diagonal, small_counts_from_signature
 from .transform import (
     R_MAX,
@@ -160,6 +160,8 @@ def parse_document(text: str) -> SystemDoc:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise ValueError("document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("document must be a JSON object")
     known = {"n", "paths", "cuts", "table", "simple_form"}
@@ -264,15 +266,12 @@ def _monomial_text(mask: int) -> str:
 def _signed_sum(terms: Iterable[tuple[int, str]], times: str) -> str:
     """Join (coefficient, monomial) terms as "-x + 2*y - z"; no terms read "0".
 
-    A coefficient of magnitude 1 is left off its monomial, and an empty
-    monomial (a constant) shows the magnitude alone.
+    A coefficient of magnitude 1 is left off its monomial.
     """
     parts: list[str] = []
     for coeff, monomial in terms:
         magnitude = abs(coeff)
-        if not monomial:
-            body = str(magnitude)
-        elif magnitude == 1:
+        if magnitude == 1:
             body = monomial
         else:
             body = f"{magnitude}{times}{monomial}"
@@ -439,7 +438,9 @@ def _run_reliability(system: SystemDoc, options: Options) -> Report:
     p = options.p
     if len(p) == 1:
         p = p * system.n
-    value = evaluate_reliability(_Analysis.of(system, options).form, p)
+    analysis = _Analysis.of(system, options)
+    _check_probabilities(p, system.n)  # after the document's checks, before the form is built
+    value = evaluate_reliability(analysis.form, p)
     rendered = str(value)
     return _render(
         options,
@@ -464,12 +465,13 @@ def _formations_match(paths: SetFamily, form: MultilinearForm) -> bool:
 
 
 def _run_verify(system: SystemDoc, options: Options) -> Report:
+    _check_max_n(system.n, options.max_n)  # a tighter --max-n names itself first
+    if system.n > VERIFY_N_MAX:
+        raise CapacityError(
+            f"verify runs brute-force oracles and is limited to n <= {VERIFY_N_MAX}, got n={system.n}"
+        )
     a = _Analysis.of(system, options)
     table = a.table
-    if table.n > VERIFY_N_MAX:
-        raise CapacityError(
-            f"verify runs brute-force oracles and is limited to n <= {VERIFY_N_MAX}, got n={table.n}"
-        )
     form = mobius_transform(table)
     paths = a.paths
     # Each check's outcome: True, False, or the reason it was skipped.

@@ -433,20 +433,18 @@ class SetFamily:
 
     def is_antichain(self) -> bool:
         """True when no member contains another."""
-        ms = self.masks()  # sorted by size, so containment only points forward
-        for j in range(len(ms)):
-            for i in range(j):
-                if ms[i] & ~ms[j] == 0:
-                    return False
-        return True
+        return self.minimized() is self
 
     def minimized(self) -> "SetFamily":
-        """The inclusion-minimal members, i.e. the family with supersets dropped."""
-        keep: list[SubsetMask] = []
-        for member in self.members:
-            if not any(k.bits & ~member.bits == 0 for k in keep):
-                keep.append(member)
-        return SetFamily(n=self.n, members=tuple(keep))
+        """The family with supersets dropped: ``self`` when no member contains another."""
+        keep: list[int] = []
+        for m in self.masks():  # sorted by size, so a kept subset comes first
+            outside = ~m
+            if not any(k & outside == 0 for k in keep):
+                keep.append(m)
+        if len(keep) == self.r:
+            return self
+        return SetFamily(n=self.n, members=tuple(SubsetMask(m, self.n) for m in keep))
 
     def size_census(self) -> tuple[int, ...]:
         """Entry k-1 counts the members of size k, for k = 1..n."""

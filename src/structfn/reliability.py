@@ -111,8 +111,7 @@ def evaluate_reliability(form: MultilinearForm, p: Sequence):
             covered |= mask
         return _from_common_denominator(total, common, p, covered)
     total = 0
-    for mask in sorted(form.coeffs):
-        term = form.coeffs[mask]
+    for mask, term in form.coeffs.items():  # ascending masks, as every form stores them
         for i in _iter_bit_positions(mask):
             term = term * p[i]
         total += term

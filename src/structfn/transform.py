@@ -71,15 +71,15 @@ def _require_members(family: SetFamily, noun: str = "path") -> None:
 def _minimal_family(family: SetFamily, operation: str, noun: str = "path") -> SetFamily:
     """Minimize with a warning, then reject an empty family. Only a public
     function named ``operation`` calls this, so the warning points at its caller."""
-    if not family.is_antichain():
+    minimal = family.minimized()
+    if minimal is not family:
         warnings.warn(
             f"{operation} expects a minimal family; redundant supersets were dropped",
             NonMinimalFamilyWarning,
             stacklevel=3,
         )
-        family = family.minimized()
-    _require_members(family, noun)
-    return family
+    _require_members(minimal, noun)
+    return minimal
 
 
 def _expands(r: int, family: SetFamily, max_r: "int | None", max_n: "int | None") -> bool:
@@ -220,7 +220,7 @@ def _form_of(
     """
     if _expands(family.r, family, max_r, max_n):
         signs = _formation_signs(family.masks())
-        return MultilinearForm._trusted(family.n, dict(sorted(signs.items())))
+        return MultilinearForm._trusted(family.n, {u: signs[u] for u in sorted(signs)})
     return mobius_transform(table_from_paths(family) if table is None else table)
 
 

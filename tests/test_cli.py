@@ -384,6 +384,25 @@ class TestReliability:
             expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert capsys.readouterr().out == expected
 
+    @pytest.mark.parametrize(
+        ("p", "message"),
+        [
+            ("0.5,0.5", "expected 5 component probabilities, got 2"),
+            ("2", "p[1] = 2.0 outside [0, 1]"),
+        ],
+        ids=["count", "range"],
+    )
+    def test_probabilities_are_checked_before_the_form(
+        self, tmp_path, capsys, monkeypatch, p, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a rejected --p needs no form")
+
+        monkeypatch.setattr("structfn.cli._form_of", refuse)
+        rc = main(["reliability", "--p", p, write_doc(tmp_path, BRIDGE_DOC)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_semicoherence_is_checked_before_the_probability_count(self, tmp_path, capsys):
         doc = write_doc(tmp_path, {"n": 2, "table": "0110"})
         rc = main(["reliability", "--p", "0.5,0.5,0.5", doc])
@@ -429,6 +448,26 @@ class TestVerify:
         assert rc == EXIT_CAPACITY
         assert "limited to n <= 10" in capsys.readouterr().err
 
+    def test_checks_its_cap_before_building_the_table(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a document over the verify cap needs no table")
+
+        monkeypatch.setattr("structfn.cli.zeta_transform", refuse)
+        series = {"n": 24, "simple_form": [{"subset": list(range(1, 25)), "coeff": 1}]}
+        rc = main(["verify", write_doc(tmp_path, series)])
+        assert rc == EXIT_CAPACITY
+        assert capsys.readouterr().err == (
+            "capacity error: verify runs brute-force oracles and is limited to n <= 10, got n=24\n"
+        )
+
+    def test_cap_comes_before_the_semicoherence_check(self, tmp_path, capsys):
+        working_when_empty = {"n": 11, "table": "1" + "0" * ((1 << 11) - 1)}
+        rc = main(["verify", write_doc(tmp_path, working_when_empty)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_CAPACITY
+        assert "limited to n <= 10, got n=11" in err
+        assert "monotonicity" not in err
+
 
 class TestExitCodes:
     def test_missing_file(self, capsys):
@@ -441,6 +480,56 @@ class TestExitCodes:
         path.write_text("{broken")
         rc = main(["analyze", str(path)])
         assert rc == EXIT_INPUT
+
+    def test_deeply_nested_document(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text('{"n": 2, "paths": ' + "[" * 100000 + "]" * 100000 + "}")
+        rc = main(["paths", str(path)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == "input error: document nests too deeply\n"
+
+    @pytest.mark.parametrize(
+        ("flags", "doc", "message"),
+        [
+            ([], {"n": 2, "paths": 3}, "paths: expected a list of component lists"),
+            ([], {"n": 2, "paths": [1]}, "paths[0]: expected a list of components"),
+            ([], {"n": 1, "table": 5}, "table: expected a string of '0'/'1' characters"),
+            ([], {"n": 1, "table": "0x"}, "table: table character 'x' at position 1 is not 0 or 1"),
+            (
+                [],
+                {"n": 2, "simple_form": {}},
+                "simple_form: expected a list of {subset, coeff} objects",
+            ),
+            ([], {"n": 2, "simple_form": [1]}, "simple_form[0]: expected an object"),
+            (
+                [],
+                {"n": 2, "simple_form": [{"subset": [1]}]},
+                "simple_form[0]: fields 'subset' and 'coeff' are required",
+            ),
+            (
+                [],
+                {"n": 2, "simple_form": [{"subset": 1, "coeff": 1}]},
+                "simple_form[0]: 'subset' must be a list of integers",
+            ),
+            (
+                [],
+                {"n": 2, "simple_form": [{"subset": [1], "coeff": 1}] * 2},
+                "simple_form: subset {1} listed twice",
+            ),
+            (["--p", "0.5,,0.5"], BRIDGE_DOC, "--p: empty entry"),
+            (["--max-n", "25"], BRIDGE_DOC, "--max-n must be in 1..24"),
+        ],
+        ids=[
+            "paths-not-list", "path-not-list", "table-not-string", "table-character",
+            "form-not-list", "term-not-object", "term-fields", "term-subset", "term-twice",
+            "p-empty-entry", "max-n-range",
+        ],
+    )
+    def test_input_error_message(self, tmp_path, capsys, flags, doc, message):
+        command = "reliability" if "--p" in flags else "analyze"
+        rc = main([command, *flags, write_doc(tmp_path, doc)])
+        assert rc == EXIT_INPUT
+        assert capsys.readouterr().err == f"input error: {message}\n"
 
     def test_unknown_command(self, tmp_path, capsys):
         rc = main(["frobnicate", write_doc(tmp_path, BRIDGE_DOC)])

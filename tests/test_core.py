@@ -232,6 +232,9 @@ class TestSetFamily:
         fam = family([(1,), (1, 2), (2, 3)], 3)
         assert not fam.is_antichain()
         assert str(fam.minimized()) == "{1}, {2,3}"
+        minimal = fam.minimized()
+        assert minimal.is_antichain()
+        assert minimal.minimized() is minimal
 
     def test_size_census(self):
         assert family(BRIDGE_PATHS, BRIDGE_N).size_census() == (0, 2, 2, 0, 0)

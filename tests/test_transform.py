@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -314,6 +315,18 @@ class TestSimpleFormExpansion:
             form = simple_form_from_paths(redundant)
         assert form == simple_form_from_paths(family([(1,)], 2))
 
+    def test_non_minimal_input_is_scanned_once(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("minimized() alone finds the redundant members")
+
+        redundant = family([(1,), (1, 2), (2, 3), (1, 2, 3)], 3)
+        expected = simple_form_from_paths(family([(1,), (2, 3)], 3))
+        monkeypatch.setattr(SetFamily, "is_antichain", refuse)
+        with pytest.warns(NonMinimalFamilyWarning) as record:
+            form = simple_form_from_paths(redundant)
+        assert len(record) == 1
+        assert form == expected
+
     def test_fallback_route_above_max_r(self):
         paths = family(BRIDGE_PATHS, BRIDGE_N)
         assert simple_form_from_paths(paths, max_r=2) == simple_form_from_paths(paths)
@@ -344,6 +357,24 @@ class TestUnionClosureKernel:
         signs = _formation_signs(parallel_paths(16).masks())
         assert len(signs) == (1 << 16) - 1
         assert all(c == (-1) ** (u.bit_count() - 1) for u, c in signs.items())
+
+    def test_form_is_sorted_without_a_pair_per_term(self):
+        paths = parallel_paths(16)
+
+        def traced_peak(build) -> int:
+            tracemalloc.start()
+            try:
+                build()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def sorted_pairs_form() -> MultilinearForm:
+            signs = _formation_signs(paths.masks())
+            return MultilinearForm._trusted(paths.n, dict(sorted(signs.items())))
+
+        kernel_peak = traced_peak(lambda: simple_form_from_paths(paths))
+        assert kernel_peak <= 0.85 * traced_peak(sorted_pairs_form)
 
     def test_member_order_does_not_matter(self):
         masks = family(LATTICE_N20_PATHS, 20).masks()

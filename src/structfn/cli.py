@@ -32,8 +32,10 @@ from . import oracle
 from .core import (
     CapacityError,
     DiagonalPoly,
+    InvalidSignatureError,
     MultilinearForm,
     N_MAX,
+    NotStructureFunctionError,
     SetFamily,
     SignatureVector,
     TruthTable,
@@ -41,7 +43,6 @@ from .core import (
     _check_max_n,
     _require_semicoherent,
     _subset_sort_key,
-    mobius_transform,
     zeta_transform,
 )
 from .reliability import _check_probabilities, diagonal_coefficients, evaluate_reliability
@@ -471,44 +472,49 @@ def _run_verify(system: SystemDoc, options: Options) -> Report:
             f"verify runs brute-force oracles and is limited to n <= {VERIFY_N_MAX}, got n={system.n}"
         )
     a = _Analysis.of(system, options)
-    table = a.table
-    form = mobius_transform(table)
-    paths = a.paths
-    # Each check's outcome: True, False, or the reason it was skipped.
-    outcomes = {
-        "zeta of mobius reproduces table": zeta_transform(form) == table,
-        "mobius matches direct polynomial expansion": form == oracle.oracle_simple_form(table),
-        "minimal path sets match definition": paths == oracle.oracle_minimal_path_sets(table),
-        "minimal cut sets match definition": (
-            a.dual.paths == oracle.oracle_minimal_cut_sets(table)
+    table, paths = a.table, a.paths
+    # Each check returns True, False, or the reason it was skipped. The form and
+    # signature checked are the ones the report commands print.
+    checks = {
+        "zeta of mobius reproduces table": lambda: zeta_transform(a.form) == table,
+        "mobius matches direct polynomial expansion": (
+            lambda: a.form == oracle.oracle_simple_form(table)
         ),
-        "dual table matches definition": a.dual.table == oracle.oracle_dual_table(table),
-        "formation census matches simple form": (
-            _formations_match(paths, form)
+        "minimal path sets match definition": (
+            lambda: paths == oracle.oracle_minimal_path_sets(table)
+        ),
+        "minimal cut sets match definition": (
+            lambda: a.dual.paths == oracle.oracle_minimal_cut_sets(table)
+        ),
+        "dual table matches definition": lambda: a.dual.table == oracle.oracle_dual_table(table),
+        "formation census matches simple form": lambda: (
+            _formations_match(paths, a.form)
             if paths.r <= _VERIFY_FORMATION_R_MAX
             else f"skipped ({paths.r} path sets exceeds oracle cap {_VERIFY_FORMATION_R_MAX})"
         ),
-        "signature routes agree": (
-            signature_boland(table) == signature_from_diagonal(diagonal_coefficients(form))
-        ),
-        "reliability at vertices matches table": all(
-            evaluate_reliability(form, [m >> i & 1 for i in range(table.n)]) == table.phi(m)
+        "signature routes agree": lambda: signature_boland(table) == a.sig,
+        "reliability at vertices matches table": lambda: all(
+            evaluate_reliability(a.form, [m >> i & 1 for i in range(table.n)]) == table.phi(m)
             for m in range(1 << table.n)
         ),
     }
-    checks = [
-        (name, outcome if isinstance(outcome, str) else "ok" if outcome else "MISMATCH")
-        for name, outcome in outcomes.items()
-    ]
-    passed = sum(1 for _, result in checks if result != "MISMATCH")
-    verified = passed == len(checks)
-    summary = f"verification: {'PASS' if verified else 'FAIL'} ({passed}/{len(checks)} checks)"
+    results = []
+    for name, check in checks.items():
+        try:
+            outcome = check()
+        except (NotStructureFunctionError, InvalidSignatureError):  # a route rejected its output
+            outcome = False
+        result = outcome if isinstance(outcome, str) else "ok" if outcome else "MISMATCH"
+        results.append((name, result))
+    passed = sum(1 for _, result in results if result != "MISMATCH")
+    verified = passed == len(results)
+    summary = f"verification: {'PASS' if verified else 'FAIL'} ({passed}/{len(results)} checks)"
     rendered = _render(
         options,
-        lambda: [f"check {name}: {result}" for name, result in checks] + [summary],
+        lambda: [f"check {name}: {result}" for name, result in results] + [summary],
         lambda: {
             "n": system.n,
-            "checks": [{"name": name, "result": result} for name, result in checks],
+            "checks": [{"name": name, "result": result} for name, result in results],
             "verified": verified,
         },
     )

@@ -25,20 +25,8 @@ from fractions import Fraction
 from math import prod
 from typing import Sequence
 
-from .core import (
-    DiagonalPoly,
-    MultilinearForm,
-    SetFamily,
-    _iter_bit_positions,
-    mobius_transform,
-)
-from .transform import (
-    _expands,
-    _form_of,
-    _minimal_family,
-    _require_members,
-    table_from_paths,
-)
+from .core import DiagonalPoly, MultilinearForm, SetFamily, _iter_bit_positions
+from .transform import _expands, _form_of, _minimal_family, _require_members
 
 __all__ = [
     "evaluate_reliability",
@@ -232,7 +220,7 @@ def evaluate_inclusion_exclusion(
         if exact is not None:
             return _exact_inclusion_exclusion(masks, p, *exact)
         return _blocked_inclusion_exclusion(masks, p)
-    return evaluate_reliability(mobius_transform(table_from_paths(paths)), p)
+    return evaluate_reliability(_form_of(paths, max_r, max_n), p)
 
 
 def diagonal_coefficients(form: MultilinearForm) -> DiagonalPoly:

@@ -3,8 +3,8 @@
 The signature s_1..s_n of a semicoherent system gives, for each k, the
 probability that the k-th component failure (in a uniformly random failure
 order) is the one that brings the system down. It depends only on the
-structure function and is computable two independent ways: Boland's per-size
-tally of working subsets, and a binomial reweighting of the diagonal
+structure function: one step turns the counts ones(j) of size-j working
+subsets into it, tallied on the truth table or recovered from the diagonal
 coefficients. Reversing a signature gives the dual system's signature.
 
 The first two counts of minimal path sets by size (alpha_1, alpha_2) and of
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from typing import Sequence
 
 from .core import (
     DiagonalPoly,
@@ -41,35 +42,34 @@ __all__ = [
 ]
 
 
-def signature_boland(table: TruthTable) -> SignatureVector:
-    """Signature via per-size tallies of working subsets.
+def _signature_from_counts(n: int, ones: Sequence[int]) -> SignatureVector:
+    """Boland's step from ones(0..n), the number of size-j working subsets.
 
-    With ones(j) the number of size-j subsets on which the system works,
     s_k = ones(n-k+1)/C(n, n-k+1) - ones(n-k)/C(n, n-k): the share of working
     subsets just before the k-th failure minus the share just after.
     """
-    _require_semicoherent(table)
-    n = table.n
-    ones = _true_count_by_size(table)
     share = [Fraction(ones[j], comb(n, j)) for j in range(n + 1)]
-    s = tuple(share[n - k + 1] - share[n - k] for k in range(1, n + 1))
-    return SignatureVector(n=n, s=s)
+    return SignatureVector(n=n, s=tuple(share[n - k + 1] - share[n - k] for k in range(1, n + 1)))
+
+
+def signature_boland(table: TruthTable) -> SignatureVector:
+    """Signature via per-size tallies of working subsets, read off the table."""
+    _require_semicoherent(table)
+    return _signature_from_counts(table.n, _true_count_by_size(table))
 
 
 def signature_from_diagonal(diag: DiagonalPoly) -> SignatureVector:
-    """Signature as a binomial reweighting of the diagonal coefficients.
+    """Signature via per-size counts of working subsets, read off the diagonal.
 
-    s_k = sum over j = 1..n-k+1 of C(n-k, j-1)/C(n, j) * d_j. For diagonals of
-    semicoherent systems this agrees exactly with :func:`signature_boland`.
+    Expanding each x^k = x^k (x + 1-x)^(n-k) writes sum_k d_k x^k as
+    sum_j ones(j) x^j (1-x)^(n-j) with ones(j) = sum over k = 1..j of
+    C(n-k, j-k) * d_k. For diagonals of semicoherent systems this agrees
+    exactly with :func:`signature_boland`.
     """
     n = diag.n
-    s = []
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, n - k + 2):
-            acc += Fraction(comb(n - k, j - 1), comb(n, j)) * diag.d[j - 1]
-        s.append(acc)
-    return SignatureVector(n=n, s=tuple(s))
+    d = (0, *diag.d)
+    ones = [sum(comb(n - k, j - k) * d[k] for k in range(1, j + 1)) for j in range(n + 1)]
+    return _signature_from_counts(n, ones)
 
 
 def dual_signature(sig: SignatureVector) -> SignatureVector:

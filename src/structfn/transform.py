@@ -212,11 +212,12 @@ def _formation_signs(masks: Sequence[int]) -> dict[int, int]:
 def _form_of(
     family: SetFamily, max_r: "int | None", max_n: "int | None", table: "TruthTable | None" = None
 ) -> MultilinearForm:
-    """The form of the system whose minimal path sets, a nonempty antichain, are ``family``.
+    """The form of the system that works exactly when all components of some member work.
 
     The one choice between the union-closure kernel and the dense Möbius
-    fallback. ``table``, when given, must be the system's table; the fallback
-    then transforms it instead of rebuilding it from the family.
+    fallback. Both take any nonempty family and absorb redundant members.
+    ``table``, when given, must be the system's table; the fallback then
+    transforms it instead of rebuilding it from the family.
     """
     if _expands(family.r, family, max_r, max_n):
         signs = _formation_signs(family.masks())
@@ -305,4 +306,4 @@ def formation_balance(
     relevant = [m for m in family.masks() if m & ~target == 0]
     if _expands(len(relevant), family, max_r, max_n):
         return _formation_signs(relevant).get(target, 0)
-    return mobius_transform(table_from_paths(family)).coefficient(target)
+    return _form_of(family, max_r, max_n).coefficient(target)

@@ -1,4 +1,7 @@
-"""The package namespace: `structfn` exports each module's public names, once."""
+"""The package namespace: `structfn` exports each module's public names, once,
+and the value semantics of its data types."""
+
+import pytest
 
 import structfn
 from structfn import core, reliability, signature, transform
@@ -72,3 +75,51 @@ def test_star_import_binds_all():
     exec("from structfn import *", namespace)
     del namespace["__builtins__"]
     assert sorted(namespace) == sorted(structfn.__all__)
+
+
+class TestValueSemantics:
+    """Equality, hashing and repr of the value types, as callers rely on them."""
+
+    def test_subset_mask(self):
+        mask = structfn.SubsetMask(bits=5, n=3)
+        assert mask == structfn.SubsetMask.from_components([3, 1], n=3)
+        assert mask != structfn.SubsetMask(bits=5, n=4)
+        assert mask != structfn.SubsetMask(bits=3, n=3)
+        assert mask != 5
+        assert hash(mask) == hash(structfn.SubsetMask(bits=5, n=3))
+        assert len({mask, structfn.SubsetMask(bits=5, n=3)}) == 1
+        assert repr(mask) == "SubsetMask(bits=5, n=3)"
+
+    def test_truth_table(self):
+        table = structfn.TruthTable(n=2, bits=14)
+        assert table == structfn.TruthTable.from_values("0111")
+        assert table != structfn.TruthTable(n=3, bits=14)
+        assert table != structfn.TruthTable(n=2, bits=8)
+        assert hash(table) == hash(structfn.TruthTable.from_values([0, 1, 1, 1]))
+        assert repr(table) == "TruthTable(n=2, bits=14)"
+
+    def test_set_family(self):
+        fam = structfn.SetFamily.from_sets([[2, 3], [1]], n=3)
+        same = structfn.SetFamily.from_sets([[1], [3, 2]], n=3)
+        assert fam == same  # members are kept in canonical order
+        assert fam != structfn.SetFamily.from_sets([[2, 3], [1]], n=4)
+        assert fam != structfn.SetFamily.from_sets([[2, 3]], n=3)
+        assert hash(fam) == hash(same)
+        assert repr(fam) == (
+            "SetFamily(n=3, members=(SubsetMask(bits=1, n=3), SubsetMask(bits=6, n=3)))"
+        )
+
+    def test_multilinear_form(self):
+        form = structfn.MultilinearForm(n=2, coeffs={3: -1, 1: 1, 2: 1, 0: 0})
+        assert form == structfn.MultilinearForm(n=2, coeffs={1: 1, 2: 1, 3: -1})
+        assert form == structfn.mobius_transform(structfn.TruthTable.from_values("0111"))
+        parallel = structfn.SetFamily.from_sets([[1], [2]], n=2)
+        assert form == structfn.simple_form_from_paths(parallel)
+        assert form != structfn.MultilinearForm(n=3, coeffs={1: 1, 2: 1, 3: -1})
+        assert form != structfn.MultilinearForm(n=2, coeffs={1: 1, 2: 1, 3: 1})
+        assert repr(form) == "MultilinearForm(n=2, coeffs={1: 1, 2: 1, 3: -1})"
+
+    def test_multilinear_form_is_unhashable(self):
+        form = structfn.MultilinearForm(n=2, coeffs={3: 1})
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(form)

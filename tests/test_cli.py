@@ -442,6 +442,59 @@ class TestVerify:
         assert "check mobius matches direct polynomial expansion: MISMATCH" in out
         assert "verification: FAIL (7/8 checks)" in out
 
+    @pytest.mark.parametrize("fault", ["dropped", "negated"])
+    def test_checks_the_form_the_other_commands_print(self, tmp_path, capsys, monkeypatch, fault):
+        import structfn.cli
+
+        true_form_of = structfn.cli._form_of
+
+        def faulty_form_of(*args, **kwargs):
+            form = true_form_of(*args, **kwargs)
+            coeffs = dict(form.coeffs)
+            top = max(coeffs)  # the bridge's full-set term, 2*x1*x2*x3*x4*x5
+            if fault == "dropped":
+                del coeffs[top]
+            else:
+                coeffs[top] = -coeffs[top]
+            return MultilinearForm(n=form.n, coeffs=coeffs)
+
+        monkeypatch.setattr("structfn.cli._form_of", faulty_form_of)
+        rc = main(["verify", write_doc(tmp_path, BRIDGE_DOC)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_MISMATCH
+        # zeta of the form and the signature each reject what they computed:
+        # a failed check, not an input error.
+        mismatched = [
+            "zeta of mobius reproduces table",
+            "mobius matches direct polynomial expansion",
+            "signature routes agree",
+            "reliability at vertices matches table",
+        ]
+        if fault == "negated":  # the census visits only the form's own terms and small subsets
+            mismatched.append("formation census matches simple form")
+        for name in mismatched:
+            assert f"check {name}: MISMATCH" in out
+        assert f"verification: FAIL ({8 - len(mismatched)}/8 checks)" in out
+
+    def test_max_r_one_checks_the_dense_route(self, capsys, monkeypatch):
+        import structfn.transform
+
+        dense = []
+        mobius = structfn.transform.mobius_transform
+
+        def recorded(table, **kwargs):
+            dense.append(table.n)
+            return mobius(table, **kwargs)
+
+        monkeypatch.setattr("structfn.transform.mobius_transform", recorded)
+        for path in sorted(SAMPLE_DIR.glob("*.json")):
+            dense.clear()
+            rc = main(["verify", "--max-r", "1", str(path)])
+            out = capsys.readouterr().out
+            assert rc == EXIT_OK, path.name
+            assert out.endswith("verification: PASS (8/8 checks)\n"), path.name
+            assert dense, path.name
+
     def test_rejects_large_n(self, tmp_path, capsys):
         doc = {"n": 11, "paths": [[i] for i in range(1, 12)]}
         rc = main(["verify", write_doc(tmp_path, doc)])
@@ -774,7 +827,7 @@ class TestCommandScope:
         def refuse(*args, **kwargs):
             raise AssertionError(f"{command} prints no dense transform")
 
-        for holder in ("core", "transform", "cli"):
+        for holder in ("core", "transform"):  # every module that holds the name
             monkeypatch.setattr(f"structfn.{holder}.mobius_transform", refuse)
         rc, out = run_cli(tmp_path, capsys, "lattice_n20", command, fmt)
         assert rc == EXIT_OK

@@ -1,6 +1,8 @@
 """Signature vectors and the small-set counting identities."""
 
+import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -13,15 +15,18 @@ from conftest import (
     OVERLAP_PAIRS,
     PAIRS_N,
     family,
+    greedy_antichain,
     k_of_n_table,
 )
 
 from structfn import (
+    DiagonalPoly,
     InconsistentFormError,
     InvalidSignatureError,
     SignatureVector,
     coefficients_from_signature,
     diagonal_coefficients,
+    diagonal_from_paths,
     dual_signature,
     dualize_table,
     mobius_transform,
@@ -72,7 +77,46 @@ class TestBolandRoute:
             signature_boland(TruthTable.from_values("0110"))
 
 
+def reweighted_signature(diag):
+    """The former diagonal route: s_k = sum over j = 1..n-k+1 of C(n-k, j-1)/C(n, j) * d_j."""
+    n = diag.n
+    s = []
+    for k in range(1, n + 1):
+        acc = Fraction(0)
+        for j in range(1, n - k + 2):
+            acc += Fraction(comb(n - k, j - 1), comb(n, j)) * diag.d[j - 1]
+        s.append(acc)
+    return SignatureVector(n=n, s=tuple(s))
+
+
 class TestDiagonalRoute:
+    def test_counts_route_matches_the_reweighting(self):
+        """Value for value on seeded integer diagonals, n = 1..24: those of random
+        systems, and random ones, half of them summing to 1 as a system's do."""
+        rng = random.Random(2001)
+        valid = invalid = 0
+        for n in range(1, 25):
+            diagonals = [diagonal_from_paths(greedy_antichain(rng, n, 8, 1, n)) for _ in range(4)]
+            for trial in range(40):
+                d = [rng.randint(-comb(n, k), comb(n, k)) for k in range(1, n + 1)]
+                if trial % 2:
+                    d[-1] += 1 - sum(d)
+                diagonals.append(DiagonalPoly(n=n, d=tuple(d)))
+            for diag in diagonals:
+                try:
+                    expected = reweighted_signature(diag)
+                except InvalidSignatureError as exc:
+                    with pytest.raises(InvalidSignatureError) as excinfo:
+                        signature_from_diagonal(diag)
+                    assert str(excinfo.value) == str(exc)
+                    invalid += 1
+                else:
+                    got = signature_from_diagonal(diag)
+                    assert got.s == expected.s
+                    assert all(type(v) is Fraction for v in got.s)
+                    valid += 1
+        assert valid >= 4 * 24 and invalid >= 24
+
     def test_agrees_with_boland_on_bridge(self):
         table = bridge_table()
         diag = diagonal_coefficients(mobius_transform(table))

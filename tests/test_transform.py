@@ -500,6 +500,19 @@ class TestRoutePolicy:
             ROUTED[name](family(BRIDGE_PATHS, BRIDGE_N), max_r=2, max_n=2)
         assert str(excinfo.value) == "family size 4 exceeds max_r=2 and n=5 exceeds max_n=2"
 
+    def test_formation_balance_dense_route_matches_the_kernel(self, monkeypatch):
+        import structfn.transform
+
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        kernel = [formation_balance(paths, mask) for mask in range(1 << BRIDGE_N)]
+        dense = []
+        mobius = structfn.transform.mobius_transform
+        monkeypatch.setattr(
+            "structfn.transform.mobius_transform", lambda table: dense.append(1) or mobius(table)
+        )
+        assert [formation_balance(paths, m, max_r=1) for m in range(1 << BRIDGE_N)] == kernel
+        assert dense  # targets holding two or more members took the dense route
+
     def test_formation_balance_caps_only_members_inside_target(self):
         paths = family(BRIDGE_PATHS, BRIDGE_N)
         target = SubsetMask.from_components((1, 3, 4, 5), n=5)  # holds {1,4} and {1,3,5}

@@ -41,6 +41,7 @@ from .core import (
     TruthTable,
     _BYTE_LABELS,
     _check_max_n,
+    _mask_labels,
     _require_semicoherent,
     _subset_sort_key,
     zeta_transform,
@@ -303,7 +304,7 @@ def _small_text(small: tuple[int, int, int, int]) -> str:
 
 
 def _family_json(family: SetFamily) -> list[list[int]]:
-    return [list(m.components()) for m in family.members]
+    return [list(_mask_labels(m)) for m in family.masks()]
 
 
 # Items of a term's "subset" list, which sits at depth 3 of the JSON output.
@@ -455,10 +456,13 @@ def _run_reliability(system: SystemDoc, options: Options) -> Report:
 
 
 def _formations_match(paths: SetFamily, form: MultilinearForm) -> bool:
-    """Odd minus even formations, the formation balance and the coefficient
-    agree on every term of the form and every subset of at most two components."""
-    candidates = set(form.coeffs) | {m for m in range(1 << form.n) if m.bit_count() <= 2}
-    for mask in sorted(candidates):
+    """Odd minus even formations, the formation balance and the coefficient agree
+    on every term of the form, union of paths and subset of at most two components."""
+    unions: set[int] = set()  # the union closure of the paths, at most 2^r - 1 sets
+    for m in paths.masks():
+        unions |= {u | m for u in unions} | {m}
+    small = {m for m in range(1 << form.n) if m.bit_count() <= 2}
+    for mask in sorted(set(form.coeffs) | unions | small):
         odd, even = oracle.oracle_formations(paths, mask)
         if not odd - even == formation_balance(paths, mask) == form.coefficient(mask):
             return False

@@ -27,7 +27,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -394,42 +394,54 @@ class MultilinearForm:
         return sum(self.coeffs.values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class SetFamily:
-    """A family of nonempty component subsets in canonical (size, components) order."""
+    """A family of nonempty component subsets in canonical (size, components) order,
+    stored once as their masks; ``members`` builds the SubsetMasks on first use."""
 
     n: int
-    members: tuple[SubsetMask, ...]
+    _masks: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_component_count(self.n)
+    def __init__(self, n: int, members: tuple[SubsetMask, ...]) -> None:
+        _check_component_count(n)
         seen: set[int] = set()
-        checked: list[SubsetMask] = []
-        for member in self.members:
+        for member in members:
             if not isinstance(member, SubsetMask):
                 raise TypeError(f"family members must be SubsetMask, got {type(member).__name__}")
-            if member.n != self.n:
-                raise ValueError(f"member {member} is over {member.n} components, expected {self.n}")
+            if member.n != n:
+                raise ValueError(f"member {member} is over {member.n} components, expected {n}")
             if member.bits == 0:
                 raise ValueError("family members must be nonempty")
             if member.bits in seen:
                 raise ValueError(f"duplicate member {member}")
             seen.add(member.bits)
-            checked.append(member)
-        checked.sort(key=lambda m: _subset_sort_key(m.bits))
-        object.__setattr__(self, "members", tuple(checked))
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_masks", tuple(sorted(seen, key=_subset_sort_key)))
+
+    @classmethod
+    def _trusted(cls, n: int, masks: tuple[int, ...]) -> "SetFamily":
+        """A family built by the library: ``masks`` already holds distinct
+        nonzero masks below 2^n in canonical order, so nothing is re-checked."""
+        family = object.__new__(cls)
+        object.__setattr__(family, "n", n)
+        object.__setattr__(family, "_masks", masks)
+        return family
 
     @classmethod
     def from_sets(cls, sets: Iterable[Iterable[int]], n: int) -> "SetFamily":
         """Build a family from iterables of 1-based component labels."""
         return cls(n=n, members=tuple(SubsetMask.from_components(s, n) for s in sets))
 
+    @cached_property
+    def members(self) -> tuple[SubsetMask, ...]:
+        return tuple(SubsetMask(bits=m, n=self.n) for m in self._masks)
+
     @property
     def r(self) -> int:
-        return len(self.members)
+        return len(self._masks)
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(m.bits for m in self.members)
+        return self._masks
 
     def is_antichain(self) -> bool:
         """True when no member contains another."""
@@ -438,23 +450,26 @@ class SetFamily:
     def minimized(self) -> "SetFamily":
         """The family with supersets dropped: ``self`` when no member contains another."""
         keep: list[int] = []
-        for m in self.masks():  # sorted by size, so a kept subset comes first
+        for m in self._masks:  # sorted by size, so a kept subset comes first
             outside = ~m
             if not any(k & outside == 0 for k in keep):
                 keep.append(m)
         if len(keep) == self.r:
             return self
-        return SetFamily(n=self.n, members=tuple(SubsetMask(m, self.n) for m in keep))
+        return SetFamily._trusted(self.n, tuple(keep))
 
     def size_census(self) -> tuple[int, ...]:
         """Entry k-1 counts the members of size k, for k = 1..n."""
         counts = [0] * self.n
-        for member in self.members:
-            counts[member.size - 1] += 1
+        for m in self._masks:
+            counts[m.bit_count() - 1] += 1
         return tuple(counts)
 
     def __str__(self) -> str:
-        return ", ".join(str(m) for m in self.members)
+        return ", ".join(map(_set_str, self._masks))
+
+    def __repr__(self) -> str:
+        return f"SetFamily(n={self.n}, members={self.members!r})"
 
 
 @dataclass(frozen=True)

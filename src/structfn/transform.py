@@ -27,7 +27,6 @@ from .core import (
     MaskLike,
     MultilinearForm,
     SetFamily,
-    SubsetMask,
     TruthTable,
     _BYTE_BITS,
     _check_max_n,
@@ -36,6 +35,7 @@ from .core import (
     _minimal_true_bits,
     _require_semicoherent,
     _reverse_bits,
+    _set_str,
     _subset_sort_key,
     mobius_transform,
 )
@@ -64,7 +64,7 @@ class NonMinimalFamilyWarning(UserWarning):
 
 
 def _require_members(family: SetFamily, noun: str = "path") -> None:
-    if not family.members:
+    if not family.r:
         raise ValueError(f"at least one {noun} set required")
 
 
@@ -144,10 +144,8 @@ def minimal_path_sets(table: TruthTable) -> SetFamily:
 
 def _minimal_paths(table: TruthTable) -> SetFamily:
     """:func:`minimal_path_sets` of a table already known to be semicoherent."""
-    min_bits = _minimal_true_bits(table.bits, table.n)
-    positions = _table_bit_positions(min_bits, 1 << table.n)
-    members = tuple(SubsetMask(bits=m, n=table.n) for m in positions)
-    return SetFamily(n=table.n, members=members)
+    positions = _table_bit_positions(_minimal_true_bits(table.bits, table.n), 1 << table.n)
+    return SetFamily._trusted(table.n, tuple(sorted(positions, key=_subset_sort_key)))
 
 
 def minimal_cut_sets(table: TruthTable) -> SetFamily:
@@ -261,17 +259,15 @@ def paths_from_simple_form(form: MultilinearForm) -> SetFamily:
         raise InconsistentFormError(
             f"constant term {form.coefficient(0)} present; no semicoherent system has one"
         )
-    minimal: list[int] = []
-    for mask in sorted(form.coeffs, key=_subset_sort_key):
-        if any(kept & ~mask == 0 for kept in minimal):
-            continue
+    support = SetFamily._trusted(form.n, tuple(sorted(form.coeffs, key=_subset_sort_key)))
+    minimal = support.minimized()
+    for mask in minimal.masks():
         coeff = form.coeffs[mask]
         if coeff != 1:
             raise InconsistentFormError(
-                f"minimal monomial {SubsetMask(mask, form.n)} has coefficient {coeff}, expected +1"
+                f"minimal monomial {_set_str(mask)} has coefficient {coeff}, expected +1"
             )
-        minimal.append(mask)
-    return SetFamily(n=form.n, members=tuple(SubsetMask(m, form.n) for m in minimal))
+    return minimal
 
 
 def cuts_from_paths(paths: SetFamily, *, max_n: "int | None" = None) -> SetFamily:

@@ -1,6 +1,9 @@
 """The package namespace: `structfn` exports each module's public names, once,
 and the value semantics of its data types."""
 
+import copy
+import pickle
+
 import pytest
 
 import structfn
@@ -123,3 +126,42 @@ class TestValueSemantics:
         form = structfn.MultilinearForm(n=2, coeffs={3: 1})
         with pytest.raises(TypeError, match="unhashable"):
             hash(form)
+
+
+def round_trip_values():
+    """One value of each type, and families built each way: by the public
+    constructor, by a library route, and with ``members`` already read."""
+    built = structfn.minimal_path_sets(structfn.TruthTable.from_values("0001011101111111"))
+    read = structfn.SetFamily.from_sets([[2, 3], [1]], n=3)
+    assert len(read.members) == 2
+    return {
+        "subset_mask": structfn.SubsetMask(bits=5, n=3),
+        "truth_table": structfn.TruthTable(n=2, bits=14),
+        "multilinear_form": structfn.MultilinearForm(n=2, coeffs={1: 1, 2: 1, 3: -1}),
+        "set_family": structfn.SetFamily.from_sets([[2, 3], [1]], n=3),
+        "library_family": built,
+        "family_with_members_read": read,
+    }
+
+
+class TestRoundTrips:
+    """pickle and copy.deepcopy give back an equal value of the same type."""
+
+    @pytest.mark.parametrize("copier", ["pickle", "deepcopy"])
+    @pytest.mark.parametrize("name", list(round_trip_values()))
+    def test_round_trip(self, name, copier):
+        value = round_trip_values()[name]
+        if copier == "pickle":
+            copy_ = pickle.loads(pickle.dumps(value))
+        else:
+            copy_ = copy.deepcopy(value)
+        assert type(copy_) is type(value)
+        assert copy_ == value
+        assert repr(copy_) == repr(value)
+        assert str(copy_) == str(value)
+        if not isinstance(value, structfn.MultilinearForm):
+            assert hash(copy_) == hash(value)
+        if isinstance(value, structfn.SetFamily):
+            assert copy_.members == value.members
+            assert copy_.masks() == value.masks()
+            assert copy_.size_census() == value.size_census()

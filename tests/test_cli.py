@@ -26,6 +26,7 @@ from structfn import (
     R_MAX,
     CapacityError,
     MultilinearForm,
+    SubsetMask,
     diagonal_from_paths,
     dualize_table,
     evaluate_inclusion_exclusion,
@@ -464,17 +465,35 @@ class TestVerify:
         assert rc == EXIT_MISMATCH
         # zeta of the form and the signature each reject what they computed:
         # a failed check, not an input error.
+        # The full set is the union of all four paths, so the census visits it
+        # whether or not the form still holds its term.
         mismatched = [
             "zeta of mobius reproduces table",
             "mobius matches direct polynomial expansion",
+            "formation census matches simple form",
             "signature routes agree",
             "reliability at vertices matches table",
         ]
-        if fault == "negated":  # the census visits only the form's own terms and small subsets
-            mismatched.append("formation census matches simple form")
         for name in mismatched:
             assert f"check {name}: MISMATCH" in out
         assert f"verification: FAIL ({8 - len(mismatched)}/8 checks)" in out
+
+    def test_census_visits_every_union_of_paths(self, tmp_path, capsys, monkeypatch):
+        import structfn.cli
+
+        true_form_of = structfn.cli._form_of
+        path_135 = 0b10101  # the bridge's size-3 term x1*x3*x5, itself a path
+
+        def faulty_form_of(*args, **kwargs):
+            coeffs = dict(true_form_of(*args, **kwargs).coeffs)
+            del coeffs[path_135]
+            return MultilinearForm(n=BRIDGE_N, coeffs=coeffs)
+
+        monkeypatch.setattr("structfn.cli._form_of", faulty_form_of)
+        rc = main(["verify", write_doc(tmp_path, BRIDGE_DOC)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_MISMATCH
+        assert "check formation census matches simple form: MISMATCH\n" in out
 
     def test_max_r_one_checks_the_dense_route(self, capsys, monkeypatch):
         import structfn.transform
@@ -880,6 +899,27 @@ class TestCommandScope:
         assert rc == EXIT_OK
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == STDOUT_DIGESTS["lattice_n20", command, "text"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["paths", "cuts", "counts", "analyze"])
+    def test_table_families_stay_masks(self, tmp_path, capsys, monkeypatch, command, fmt):
+        """Families read off a table document reach the output as masks, with
+        no SubsetMask built between parsing and printing."""
+        import structfn.cli
+
+        expected = run_cli(tmp_path, capsys, "bridge_table", command, fmt)
+        true_parse = structfn.cli.parse_document
+
+        def refuse(self):
+            raise AssertionError("a family read off a table builds no SubsetMask")
+
+        def parse_then_refuse(text):
+            system = true_parse(text)
+            monkeypatch.setattr(SubsetMask, "__post_init__", refuse)
+            return system
+
+        monkeypatch.setattr("structfn.cli.parse_document", parse_then_refuse)
+        assert run_cli(tmp_path, capsys, "bridge_table", command, fmt) == expected
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command", ["analyze", "dual", "simple-form"])

@@ -55,7 +55,7 @@ from structfn.oracle import (
     oracle_minimal_cut_sets,
     oracle_minimal_path_sets,
 )
-from structfn.transform import _formation_signs, _table_bit_positions
+from structfn.transform import _formation_signs, _minimal_paths, _table_bit_positions
 
 ADJACENT_FORM = (
     ((1, 2), 1),
@@ -431,6 +431,71 @@ class TestTrustedForms:
             assert zeta_transform(form) == table
 
 
+def monotone_tables() -> list[TruthTable]:
+    """The kernel families' tables and seeded random semicoherent tables with
+    n <= 12: each the up-set of random nonempty masks, supersets included."""
+    rng = random.Random(20261020)
+    tables = [table_from_paths(fam) for fam in kernel_families()]
+    for n in range(1, 13):
+        for _ in range(5):
+            masks = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 3 * n))}
+            tables.append(table_from_paths(mask_family(masks, n)))
+    return tables
+
+
+def assert_public_family(built: SetFamily) -> None:
+    """In every view, ``built`` is the family the public constructor makes
+    from the same members, handed over in reverse order."""
+    public = mask_family(reversed(built.masks()), built.n)
+    assert built == public
+    assert hash(built) == hash(public)
+    assert repr(built) == repr(public)
+    assert str(built) == str(public)
+    assert built.members == public.members
+    assert built.masks() == public.masks()
+    assert built.size_census() == public.size_census()
+
+
+class TestTrustedFamilies:
+    """Library routes build families from their masks without the public
+    constructor or a SubsetMask; the result must be what the constructor makes."""
+
+    ROUTES = {
+        "_minimal_paths": _minimal_paths,
+        "minimal_cut_sets": minimal_cut_sets,
+        "paths_from_simple_form": lambda table: paths_from_simple_form(mobius_transform(table)),
+    }
+
+    @pytest.mark.parametrize("route", list(ROUTES))
+    def test_table_routes(self, monkeypatch, route):
+        tables = monotone_tables()
+
+        def refuse(self):
+            raise AssertionError("a library-built family builds no SubsetMask")
+
+        with monkeypatch.context() as m:
+            m.setattr(SubsetMask, "__post_init__", refuse)
+            families = [self.ROUTES[route](table) for table in tables]
+        for table, fam in zip(tables, families):
+            assert fam.n == table.n
+            assert_public_family(fam)
+
+    def test_minimized(self):
+        rng = random.Random(20261021)
+        shrunk = 0
+        for n in range(1, 13):
+            for _ in range(10):
+                masks = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 3 * n))}
+                fam = mask_family(masks, n)
+                minimal = fam.minimized()
+                shrunk += minimal is not fam
+                assert minimal == minimal_path_sets(table_from_paths(fam))
+                assert_public_family(minimal)
+        assert shrunk > 60
+        for fam in kernel_families():
+            assert fam.minimized() is fam
+
+
 class TestPathsFromSimpleForm:
     def test_bridge_recovery(self):
         paths = paths_from_simple_form(mobius_transform(bridge_table()))
@@ -442,6 +507,13 @@ class TestPathsFromSimpleForm:
     def test_rejects_minimal_coefficient_not_one(self):
         with pytest.raises(InconsistentFormError, match=r"\{1\} has coefficient 2"):
             paths_from_simple_form(MultilinearForm(n=2, coeffs={0b01: 2}))
+
+    def test_names_the_first_bad_minimal_monomial_in_canonical_order(self):
+        # {2,3} has the smaller mask, 6, but {1,4} (mask 9) comes first canonically.
+        form = MultilinearForm(n=4, coeffs={0b0110: 3, 0b1001: 2, 0b1111: 5})
+        with pytest.raises(InconsistentFormError) as raised:
+            paths_from_simple_form(form)
+        assert str(raised.value) == "minimal monomial {1,4} has coefficient 2, expected +1"
 
     def test_rejects_constant_term(self):
         with pytest.raises(InconsistentFormError, match="constant term"):

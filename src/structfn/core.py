@@ -15,10 +15,9 @@ int64 for zeta while the input magnitudes sum below 2^62; and Python
 integers in an object-dtype array otherwise, which only forms that are about
 to be rejected ever reach.
 
-numpy is imported on the first dense pass and otherwise not at all. The
-dense work is Mobius, zeta, and float or object inclusion-exclusion. Within
-the expansion cap, family routes, signatures, small counts and exact
-reliability run on Python integers alone and never load numpy.
+numpy is imported on the first dense pass, Mobius or zeta, and otherwise not
+at all. Within the expansion cap, family routes, signatures, small counts and
+reliability run on Python numbers alone and never load numpy.
 """
 
 from __future__ import annotations

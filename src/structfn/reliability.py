@@ -8,16 +8,15 @@ coefficients summarize the system size profile.
 
 All evaluation is type-transparent: Fraction inputs give exact rational
 results, floats give floats. When every p_i is an ``int`` or a ``Fraction``
-(exactly those types) and at least one is a ``Fraction``, both routes take
-the integer route: with p_i = a_i / d_i and D = prod d_i, each term becomes
-the integer numerator of its value over D, the numerators are summed, and
-one ``Fraction(total, D)`` is built at the end; the walk leaves out the
-subfamilies whose terms cancel in pairs. The result is a ``Fraction``
-when a component the terms cover has a ``Fraction`` p_i, else the exact
-``int`` the plain loops give. Any other input (all ``int``, ``bool``, numpy
-scalars, floats, mixtures with floats) keeps the plain term loop in
-:func:`evaluate_reliability` and the blocked subfamily walk in
-:func:`evaluate_inclusion_exclusion`.
+(exactly those types) and at least one is a ``Fraction``, both routes carry
+integer numerators: with p_i = a_i / d_i and D a product of d_i, each term
+becomes the integer numerator of its value over D, the numerators are
+summed, and one ``Fraction(total, D)`` is built at the end. The result is a
+``Fraction`` when a component the terms cover has a ``Fraction`` p_i, else
+the exact ``int`` the plain loops give. Any other input (all ``int``,
+``bool``, array scalars, floats, mixtures with floats) keeps the plain term
+loop in :func:`evaluate_reliability`. :func:`evaluate_inclusion_exclusion`
+has one subfamily walk for every p, behind series and parallel reductions.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import prod
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Sequence
 
 from .core import DiagonalPoly, MultilinearForm, SetFamily, _iter_bit_positions
@@ -37,10 +36,6 @@ __all__ = [
     "diagonal_coefficients",
     "diagonal_from_paths",
 ]
-
-# The blocked inclusion-exclusion walk computes its leaves 2^14 at a time
-# (128 KiB of float64 terms or object pointers), whatever the family size.
-_IE_BLOCK_BITS = 14
 
 
 def _check_probabilities(p: Sequence, n: int) -> None:
@@ -55,7 +50,7 @@ def _common_denominator(p: Sequence) -> "tuple[list[int], list[int], int] | None
     """Numerators a_i, denominators d_i and D = prod d_i of exact p, else None.
 
     Only a sequence of ``int`` and ``Fraction`` values holding at least one
-    ``Fraction`` qualifies; ``bool`` and numpy integers do not.
+    ``Fraction`` qualifies; ``bool`` and other integer types do not.
     """
     if not any(type(value) is Fraction for value in p) or not all(
         type(value) in (int, Fraction) for value in p
@@ -113,74 +108,22 @@ def evaluate_reliability(form: MultilinearForm, p: Sequence):
     return total
 
 
-def _subfamily_unions(masks: Sequence[int]):
-    """Union and odd size of every subfamily, in walk order, as numpy arrays.
+def _walk_inclusion_exclusion(masks: Sequence[int], p: Sequence, exact):
+    """The subfamily walk that :func:`evaluate_inclusion_exclusion` describes.
 
-    Leaf j takes member i when bit len(masks) - 1 - i of j is set, so the
-    first member varies slowest, as in the recursive walk. Masks have at most
-    N_MAX = 24 bits, so int64 holds every union.
+    ``exact`` is :func:`_common_denominator` of p, or None to carry
+    ``value * p[i]`` instead of integer numerators.
     """
-    import numpy as np
-
-    unions = np.zeros(1, dtype=np.int64)
-    odd = np.zeros(1, dtype=bool)
-    for m in reversed(masks):
-        unions = np.concatenate((unions, unions | m))
-        odd = np.concatenate((odd, ~odd))
-    return unions, odd
-
-
-def _blocked_inclusion_exclusion(masks: Sequence[int], p: Sequence):
-    """The unpruned inclusion-exclusion walk, a block of leaves at a time.
-
-    The last min(14, r) members vary inside a block and the others pick it. Each
-    leaf's term starts at +-1 and is multiplied by p_i in ascending component
-    order, and the terms are summed one by one in walk order from 0 (``cumsum``
-    adds one at a time, where ``sum`` may compensate): the same operations in
-    the same order as the unpruned recursive walk, so the result is that walk's
-    value and type, bit for bit. All-float p runs on float64. Any other p runs on
-    Python objects, each p_i boxed in a 1-element object array so that numpy
-    hands numpy scalars to the products as they are instead of casting them to
-    Python numbers.
-    """
-    import numpy as np
-
-    if all(type(value) is float for value in p):
-        dtype, factors, total = np.float64, p, 0.0
-    else:
-        dtype, total = object, 0
-        factors = [np.array([value], dtype=object) for value in p]
-    split = len(masks) - min(_IE_BLOCK_BITS, len(masks))
-    tail_unions, tail_odd = _subfamily_unions(masks[split:])
-    tail_signs = np.where(tail_odd, 1, -1).astype(dtype)
-    tail_cover = int(tail_unions[-1])
-    in_tail = {i: (tail_unions >> i & 1).astype(bool) for i in _iter_bit_positions(tail_cover)}
-    head_unions, head_odd = _subfamily_unions(masks[:split])
-    for block, (head, odd) in enumerate(zip(head_unions.tolist(), head_odd.tolist())):
-        term = -tail_signs if odd else tail_signs.copy()
-        for i in _iter_bit_positions(head | tail_cover):
-            if head >> i & 1:
-                term *= factors[i]
-            else:
-                np.multiply(term, factors[i], out=term, where=in_tail[i])
-        if block == 0:
-            term = term[1:]  # leaf 0 is the empty subfamily
-        total = np.cumsum(np.concatenate((np.array([total], dtype=dtype), term))).item(-1)
-    return total
-
-
-def _exact_inclusion_exclusion(
-    masks: Sequence[int], p: Sequence, a: Sequence[int], d: Sequence[int], common: int
-):
-    """The integer-numerator walk that :func:`evaluate_inclusion_exclusion` describes."""
     order = masks[::-1]  # largest first: small members come late, when unions hold them more often
     # Joining the union, member k can only cover a later member that meets it.
     meets = [[m for m in order[k + 1 :] if m & member] for k, member in enumerate(order)]
-    total = 0
+    a, d = exact[:2] if exact else (None, None)
+    start = 1 if a is None else prod(d[i] for i in _iter_bit_positions(reduce(or_, masks)))
+    total, leaf = 0, len(order)
 
-    def walk(idx: int, union: int, size: int, value: int) -> None:
+    def walk(idx: int, union: int, size: int, value) -> None:
         nonlocal total
-        if idx == len(order):
+        if idx == leaf:
             if size:
                 total += value if size & 1 else -value
             return
@@ -190,12 +133,48 @@ def _exact_inclusion_exclusion(
         for m in meets[idx]:
             if not m & ~union:
                 return
-        for i in _iter_bit_positions(new):
-            value = value // d[i] * a[i]
+        if a is None:
+            for i in _iter_bit_positions(new):
+                value = value * p[i]
+        else:
+            for i in _iter_bit_positions(new):
+                value = value // d[i] * a[i]
         walk(idx + 1, union, size + 1, value)
 
-    walk(0, 0, 0, common)
-    return _from_common_denominator(total, common, p, masks)
+    walk(0, 0, 0, start)
+    return total if a is None else _from_common_denominator(total, start, p, masks)
+
+
+def _reduced_inclusion_exclusion(masks: Sequence[int], p: Sequence, exact):
+    """Reliability of the family ``masks``, reduced in series and in parallel first.
+
+    Members with disjoint supports fall into separate groups, the connected
+    components of the "meets" relation, and groups work independently: each
+    group's R_g folds in as total + R_g * (1 - total) from the int 0, which
+    keeps the relative precision that 1 - prod(1 - R_g) loses for small R.
+    Within a group, the components that every member holds are in series
+    with the rest: their p_i multiply the remainder's R, reduced again, and a
+    remainder holding the empty set has R = 1. Only a group that neither rule
+    reduces is walked.
+    """
+    supports: list[int] = []
+    for mask in masks:
+        supports = [s for s in supports if not s & mask] + [
+            reduce(or_, (s for s in supports if s & mask), mask)
+        ]
+    total = 0
+    for support in supports:
+        group = [m for m in masks if m & support]
+        shared = reduce(and_, group)
+        if shared:
+            value = prod(p[i] for i in _iter_bit_positions(shared))
+            rest = [m & ~shared for m in group]
+            if 0 not in rest:
+                value = value * _reduced_inclusion_exclusion(rest, p, exact)
+        else:
+            value = _walk_inclusion_exclusion(group, p, exact)
+        total = total + value * (1 - total)
+    return total
 
 
 def evaluate_inclusion_exclusion(
@@ -212,26 +191,23 @@ def evaluate_inclusion_exclusion(
     same value as :func:`evaluate_reliability` on the expanded form. Exact in
     rational arithmetic.
 
-    Exact p holding a ``Fraction`` takes the integer route (see the module
-    docstring): the walk starts at D and, as a member newly covers component
-    i, divides the carried value by d_i and multiplies by a_i, exactly since
-    d_i is still a factor. It skips every subtree in which a member still to
-    come already lies inside the union: taking that member or not gives the
-    same unions with sizes one apart, so those leaves cancel in pairs.
-
-    Any other p runs on numpy a block of subfamilies at a time, on float64
-    when every p_i is a Python float and on Python objects otherwise; its
-    terms and summation order are those of the unpruned walk over every
-    subfamily, so the value is the same to the last bit and of the same type.
+    Two reductions come first, the series and parallel cases of Birnbaum and
+    Esary's modules: members with disjoint supports form independent groups,
+    and the components every member of a group holds factor out in series.
+    Each group left is walked, largest member first, skipping every subtree
+    in which a member still to come already lies inside the union: taking
+    that member or not gives the same unions with sizes one apart, so those
+    subfamilies cancel in pairs. Exact p holding a ``Fraction`` takes the
+    integer route (see the module docstring): the walk starts at D, the
+    product of d_i over the group's components, and as a member newly covers
+    component i divides the carried value by d_i and multiplies by a_i,
+    exactly since d_i is still a factor. Any other p multiplies the carried
+    value by p_i, so float results match the form route up to rounding.
     """
     _require_members(paths)
     _check_probabilities(p, paths.n)
     if _expands(paths.r, paths, max_r, max_n):
-        masks = paths.masks()
-        exact = _common_denominator(p)
-        if exact is not None:
-            return _exact_inclusion_exclusion(masks, p, *exact)
-        return _blocked_inclusion_exclusion(masks, p)
+        return _reduced_inclusion_exclusion(paths.masks(), p, _common_denominator(p))
     return evaluate_reliability(_form_of(paths, max_r, max_n), p)
 
 

@@ -1,6 +1,8 @@
 """Reliability polynomials: evaluation routes and diagonal coefficients."""
 
+import functools
 import itertools
+import math
 import random
 import subprocess
 import sys
@@ -36,7 +38,7 @@ from structfn import (
     table_from_paths,
 )
 from structfn.core import _iter_bit_positions
-from structfn.reliability import _common_denominator, _exact_inclusion_exclusion
+from structfn.reliability import _common_denominator, _walk_inclusion_exclusion
 
 HALF = Fraction(1, 2)
 
@@ -113,6 +115,74 @@ def walk_diagonal(masks, n):
     return tuple(d)
 
 
+def has_float(p):
+    return any(isinstance(v, float) for v in p)
+
+
+def accuracy(paths, rows):
+    """Largest ulp errors of evaluate_inclusion_exclusion and of the unpruned walk.
+
+    Over the rows of p holding a float, each value must keep the unpruned
+    walk's type and lie within 2^-40 of the exact value, which the form route
+    computes on the exact rationals of p.
+    """
+    form = simple_form_from_paths(paths)
+    worst = [Fraction(0), Fraction(0)]
+    for p in filter(has_float, rows):
+        value = evaluate_inclusion_exclusion(paths, p)
+        walked = walk_inclusion_exclusion(paths.masks(), p)
+        assert type(value) is type(walked)
+        exact = loop_reliability(form, [Fraction(v) for v in p])
+        assert abs(Fraction(value) - exact) <= Fraction(2) ** -40
+        ulp = Fraction(math.ulp(float(exact)))
+        worst = [max(worst[0], abs(Fraction(value) - exact) / ulp),
+                 max(worst[1], abs(Fraction(walked) - exact) / ulp)]
+    return worst
+
+
+def seeded_rows(kind, r):
+    """The seeded family of r members on 16 components and its rows of p."""
+    rng = random.Random(r if kind == "antichain" else 100 + r)
+    paths = greedy_antichain(rng, 16, r, 3, 6)
+    assert paths.r == r
+    if kind == "antichain":
+        return paths, [
+            [rng.uniform(0.05, 0.95) for _ in range(16)],
+            [rng.choice((-0.0, 0.0, 1.0, 5e-324, rng.random())) for _ in range(16)],
+        ]
+    return paths, [
+        [rng.random() < 0.5 for _ in range(16)],
+        [np.int64(rng.randrange(2)) for _ in range(16)],
+        [np.float64(rng.uniform(0.05, 0.95)) for _ in range(16)],
+        # A Fraction on the lowest component of each half, then on the highest.
+        [Fraction(rng.randint(1, 6), 7) if i % 8 == 0 else rng.uniform(0.05, 0.95) for i in range(16)],
+        [Fraction(rng.randint(1, 6), 7) if i % 8 == 7 else rng.uniform(0.05, 0.95) for i in range(16)],
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def seeded_accuracy(kind, r):
+    return accuracy(*seeded_rows(kind, r))
+
+
+ANTICHAIN_R = (1, 13, 14, 15, 18)
+PAST_ONE_BLOCK_R = (15, 16)
+BRIDGE_FLOAT_ROWS = (
+    np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
+    (0.1, Fraction(1, 5), 0.3, 0.4, 0.5),
+    (0.1, 1, 0.3, 0.4, 0.5),
+)
+BRIDGE_OTHER_ROWS = (
+    (True, False, True, True, False),
+    (True, Fraction(1, 2), 1, 0, Fraction(1, 3)),
+    [np.int64(1), np.int64(0), np.int64(1), np.int64(0), np.int64(1)],
+    [np.int64(1), Fraction(1, 2), 1, 0, Fraction(1, 3)],
+    [np.float64(0.25), np.float64(0.5), np.float64(0.75), np.float64(0.5), np.float64(1)],
+    (0.1, Fraction(1, 5), 0.3, 1, 0.5),
+    (0.25, 1, 0.5, 0, 0.75),
+)
+
+
 class TestEvaluateReliability:
     def test_bridge_at_one_half(self):
         p = (HALF,) * 5
@@ -179,22 +249,20 @@ class TestInclusionExclusionRoute:
 
 
 class TestFloatInclusionExclusion:
-    """Float p takes the blocked numpy walk, which must equal the recursive walk bit for bit."""
+    """Float p walks like exact p: its value matches the exact one up to rounding."""
 
-    @pytest.mark.parametrize("r", [1, 13, 14, 15, 18])
+    @pytest.mark.parametrize("r", ANTICHAIN_R)
     def test_bit_identical_to_the_walk(self, r):
-        rng = random.Random(r)
-        paths = greedy_antichain(rng, 16, r, 3, 6)
-        assert paths.r == r
-        for p in (
-            [rng.uniform(0.05, 0.95) for _ in range(16)],
-            [rng.choice((-0.0, 0.0, 1.0, 5e-324, rng.random())) for _ in range(16)],
-        ):
-            value = evaluate_inclusion_exclusion(paths, p)
-            expected = walk_inclusion_exclusion(paths.masks(), p)
-            assert type(value) is float
-            assert value == expected
-            assert repr(value) == repr(expected)
+        # The name is kept for its history: float sums of the pruned walk may
+        # differ from the unpruned walk's in the last bits, so the check is the
+        # walk's type and an error within 2^-40 of the exact value.
+        seeded_accuracy("antichain", r)
+
+    def test_no_less_accurate_than_the_unpruned_walk(self):
+        errors = [seeded_accuracy("antichain", r) for r in ANTICHAIN_R]
+        errors += [seeded_accuracy("block", r) for r in PAST_ONE_BLOCK_R]
+        errors.append(accuracy(family(BRIDGE_PATHS, BRIDGE_N), BRIDGE_FLOAT_ROWS + BRIDGE_OTHER_ROWS))
+        assert max(new for new, _ in errors) <= max(walked for _, walked in errors)
 
     def test_negative_zero_probabilities(self):
         bridge = family(BRIDGE_PATHS, BRIDGE_N)
@@ -224,35 +292,97 @@ class TestFloatInclusionExclusion:
 
     def test_numpy_and_mixed_input_keep_the_walk(self):
         paths = family(BRIDGE_PATHS, BRIDGE_N)
-        for p in (
-            np.array([0.1, 0.2, 0.3, 0.4, 0.5]),
-            (0.1, Fraction(1, 5), 0.3, 0.4, 0.5),
-            (0.1, 1, 0.3, 0.4, 0.5),
-        ):
-            value = evaluate_inclusion_exclusion(paths, p)
-            expected = walk_inclusion_exclusion(paths.masks(), p)
-            assert type(value) is type(expected)
-            assert repr(value) == repr(expected)
+        accuracy(paths, BRIDGE_FLOAT_ROWS)
         assert type(evaluate_inclusion_exclusion(paths, np.full(5, 0.5))) is np.float64
 
-    @pytest.mark.parametrize("r", [15, 16])
+    @pytest.mark.parametrize("r", PAST_ONE_BLOCK_R)
     def test_object_route_past_one_block(self, r):
-        # Past 2^14 leaves the object walk carries its running sum from block to block.
-        rng = random.Random(100 + r)
-        paths = greedy_antichain(rng, 16, r, 3, 6)
-        assert paths.r == r
-        for p in (
-            [rng.random() < 0.5 for _ in range(16)],
-            [np.int64(rng.randrange(2)) for _ in range(16)],
-            [np.float64(rng.uniform(0.05, 0.95)) for _ in range(16)],
-            # A Fraction on the lowest component of each half, then on the highest.
-            [Fraction(rng.randint(1, 6), 7) if i % 8 == 0 else rng.uniform(0.05, 0.95) for i in range(16)],
-            [Fraction(rng.randint(1, 6), 7) if i % 8 == 7 else rng.uniform(0.05, 0.95) for i in range(16)],
-        ):
+        # r = 15 and 16 walk past 2^14 subfamilies. Rows with integer values
+        # give the walk's value exactly, in its type; float rows keep its type
+        # and stay within 2^-40 of the exact value.
+        paths, rows = seeded_rows("block", r)
+        for p in rows:
+            if not has_float(p):
+                value = evaluate_inclusion_exclusion(paths, p)
+                expected = walk_inclusion_exclusion(paths.masks(), p)
+                assert type(value) is type(expected)
+                assert repr(value) == repr(expected)
+        seeded_accuracy("block", r)
+
+
+def bridge_copies(k):
+    """k disjoint copies of the bridge, on components 1-5, 6-10, ..."""
+    return family([tuple(c + 5 * j for c in m) for j in range(k) for m in BRIDGE_PATHS], 5 * k)
+
+
+# Families that the series and parallel reductions take apart.
+REDUCIBLE = {
+    "parallel24": family([(i,) for i in range(1, 25)], 24),
+    "star23": family([(1, i) for i in range(2, 25)], 24),
+    "four_bridges": bridge_copies(4),
+    "one_member": family([(3,)], 4),
+    "bridge_and_singleton": family(BRIDGE_PATHS + ((6,),), 6),
+}
+
+
+def typed_probabilities(rng, n):
+    """Seeded p of each input type: float, Mersenne Fraction, int, bool, np.int64."""
+    return [
+        [rng.uniform(0.05, 0.95) for _ in range(n)],
+        [Fraction(rng.randint(1, q - 1), q) for q in (rng.choice(LARGE_PRIMES) for _ in range(n))],
+        [rng.randrange(2) for _ in range(n)],
+        [rng.random() < 0.5 for _ in range(n)],
+        [np.int64(rng.randrange(2)) for _ in range(n)],
+    ]
+
+
+class TestReductions:
+    """Disjoint groups combine in parallel and shared components factor out in series."""
+
+    @staticmethod
+    def unreduced(name, p):
+        """The value by a route that reduces nothing.
+
+        Parallel 24 and star 23 have forms of 2^24 - 1 and 2^23 - 1 terms,
+        beyond the term loop's reach, so their closed forms stand in.
+        """
+        paths = REDUCIBLE[name]
+        if name == "parallel24":
+            return 1 - math.prod(1 - v for v in p)
+        if name == "star23":
+            return p[0] * (1 - math.prod(1 - v for v in p[1:]))
+        if paths.r <= 10:
+            return walk_inclusion_exclusion(paths.masks(), p)
+        return loop_reliability(simple_form_from_paths(paths), p)
+
+    @pytest.mark.parametrize("name", list(REDUCIBLE))
+    def test_values_and_types_match_an_unreduced_route(self, name):
+        paths = REDUCIBLE[name]
+        for p in typed_probabilities(random.Random(paths.r), paths.n):
             value = evaluate_inclusion_exclusion(paths, p)
-            expected = walk_inclusion_exclusion(paths.masks(), p)
-            assert type(value) is type(expected)
-            assert repr(value) == repr(expected)
+            expected = self.unreduced(name, p)
+            assert type(value) is type(expected), (name, p)
+            if has_float(p):
+                exact = self.unreduced(name, [Fraction(v) for v in p])
+                assert abs(Fraction(value) - exact) <= Fraction(2) ** -40, (name, p)
+            else:
+                assert repr(value) == repr(expected), (name, p)
+
+    @pytest.mark.parametrize("name", ["parallel24", "star23"])
+    def test_reduced_families_are_not_walked(self, name, monkeypatch):
+        # The walk without reductions visits 2^24 or 2^23 leaves here, each
+        # looping over its union's components.
+        calls = 0
+
+        def counting(bits):
+            nonlocal calls
+            calls += 1
+            return _iter_bit_positions(bits)
+
+        monkeypatch.setattr("structfn.reliability._iter_bit_positions", counting)
+        for p in typed_probabilities(random.Random(24), 24)[:3]:
+            evaluate_inclusion_exclusion(REDUCIBLE[name], p)
+        assert calls < 1_000
 
 
 class TestExactIntegerRoute:
@@ -317,21 +447,16 @@ class TestExactIntegerRoute:
     def test_other_input_types_keep_the_plain_loops(self):
         paths = family(BRIDGE_PATHS, BRIDGE_N)
         form = bridge_form()
-        for p in (
-            (True, False, True, True, False),
-            (True, Fraction(1, 2), 1, 0, Fraction(1, 3)),
-            [np.int64(1), np.int64(0), np.int64(1), np.int64(0), np.int64(1)],
-            [np.int64(1), Fraction(1, 2), 1, 0, Fraction(1, 3)],
-            [np.float64(0.25), np.float64(0.5), np.float64(0.75), np.float64(0.5), np.float64(1)],
-            (0.1, Fraction(1, 5), 0.3, 1, 0.5),
-            (0.25, 1, 0.5, 0, 0.75),
-        ):
-            for value, expected in (
-                (evaluate_inclusion_exclusion(paths, p), walk_inclusion_exclusion(paths.masks(), p)),
-                (evaluate_reliability(form, p), loop_reliability(form, p)),
-            ):
+        for p in BRIDGE_OTHER_ROWS:
+            checks = [(evaluate_reliability(form, p), loop_reliability(form, p))]
+            if not has_float(p):
+                checks.append(
+                    (evaluate_inclusion_exclusion(paths, p), walk_inclusion_exclusion(paths.masks(), p))
+                )
+            for value, expected in checks:
                 assert type(value) is type(expected)
                 assert repr(value) == repr(expected)
+        accuracy(paths, BRIDGE_OTHER_ROWS)
 
     def test_walk_needs_neither_the_kernel_nor_the_lattice(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -377,7 +502,7 @@ class TestExactIntegerRoute:
             masks = list(fam.masks())
             for _ in range(3):
                 rng.shuffle(masks)
-                value = _exact_inclusion_exclusion(masks, p, *_common_denominator(p))
+                value = _walk_inclusion_exclusion(masks, p, _common_denominator(p))
                 assert type(value) is type(expected) and value == expected, str(fam)
 
     def test_cancelling_subfamilies_are_skipped(self, monkeypatch):
@@ -431,9 +556,16 @@ class TestExactIntegerRoute:
             "rng = random.Random(7)\n"
             "members = {tuple(sorted(rng.sample(range(1, 19), 4))) for _ in range(16)}\n"
             "paths = SetFamily.from_sets(members, n=18)\n"
-            "p = [Fraction(rng.randint(1, 12), 13) for _ in range(18)]\n"
-            "assert evaluate_inclusion_exclusion(paths, p) == evaluate_reliability(\n"
-            "    simple_form_from_paths(paths), p)\n"
+            "form = simple_form_from_paths(paths)\n"
+            "for p in (\n"
+            "    [Fraction(rng.randint(1, 12), 13) for _ in range(18)],\n"
+            "    [rng.uniform(0.05, 0.95) for _ in range(18)],\n"
+            "    [rng.randrange(2) for _ in range(18)],\n"
+            "    [rng.random() < 0.5 for _ in range(18)],\n"
+            "):\n"
+            "    value = evaluate_inclusion_exclusion(paths, p)\n"
+            "    expected = evaluate_reliability(form, p)\n"
+            "    assert abs(value - expected) <= (2**-40 if type(value) is float else 0), p\n"
             "print('numpy' in sys.modules)\n"
         )
         run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)

@@ -9,11 +9,16 @@ the zeta transform (sum over contained subsets) turns coefficients back into
 values and the Mobius transform is its exact inverse.
 
 Zeta and Mobius are one in-place lattice pass with opposite signs, run on
-numpy arrays whose dtype a written magnitude bound proves exact: int32 for
-Mobius, whose 0/1 input keeps every partial sum within +-2^23 for n <= 24;
-int64 for zeta while the input magnitudes sum below 2^62; and Python
-integers in an object-dtype array otherwise, which only forms that are about
-to be rejected ever reach.
+numpy arrays whose dtype a written magnitude bound proves exact. Mobius reads
+the table as 16-bit words and looks up each word's first four passes, then
+widens as its partial sums grow: after k passes over 0/1 input they lie
+within +-2^(k-1), so int8 holds them through k = 7, int16 through 15 and
+int32 up to n = 24. Zeta runs in int64 while the input magnitudes sum below
+2^62, and in Python integers in an object-dtype array otherwise, which only
+forms that are about to be rejected ever reach.
+
+Table passes without numpy (up-closure, minimal entries, validation, counts
+by size) run on chunks of 2^16 entries, so their masks are 8 KiB whatever n.
 
 numpy is imported on the first dense pass, Mobius or zeta, and otherwise not
 at all. Within the expansion cap, family routes, signatures, small counts and
@@ -137,12 +142,55 @@ def _mask_bits(subset: MaskLike, n: int) -> int:
     return bits
 
 
+# Table passes run on chunks of 2^16 entries (8 KiB): chunk k holds entries
+# k * 2^16 .. (k + 1) * 2^16 - 1, and a table of n <= 16 components is one chunk.
+_CHUNK_N = 16
+
+
+def _split_chunks(bits: int, n: int) -> list[int]:
+    """The chunks of an n-component table integer, lowest entries first."""
+    if n <= _CHUNK_N:
+        return [bits]
+    size = 1 << (_CHUNK_N - 3)
+    raw = memoryview(bits.to_bytes(1 << (n - 3), "little"))
+    return [int.from_bytes(raw[k : k + size], "little") for k in range(0, len(raw), size)]
+
+
+def _join_chunks(chunks: list[int], n: int) -> int:
+    """The table integer of :func:`_split_chunks`' chunks."""
+    if n <= _CHUNK_N:
+        return chunks[0]
+    size = 1 << (_CHUNK_N - 3)
+    return int.from_bytes(b"".join(c.to_bytes(size, "little") for c in chunks), "little")
+
+
+def _carried_up(chunks: list[int], n: int) -> Iterator[tuple[int, int, int]]:
+    """(i, k, carried) for each 0-based component i and each chunk k: carried
+    marks the entries of chunk k that hold i and whose subset without i is set.
+
+    Components 1..16 shift a chunk within itself; component 17 + j carries
+    chunk k ^ 2^j whole into each chunk k with bit j. Within a component the
+    chunks ascend. Each chunk is read when its item is made, so a caller that
+    ORs ``carried`` into ``chunks[k]`` as it goes builds the up-set.
+    """
+    patterns = _component_patterns(min(n, _CHUNK_N))
+    for k in range(len(chunks)):
+        for i, pattern in enumerate(patterns):
+            yield i, k, (chunks[k] << (1 << i)) & pattern
+    for j in range(n - _CHUNK_N):
+        step = 1 << j
+        for k in range(len(chunks)):
+            if k & step:
+                yield _CHUNK_N + j, k, chunks[k ^ step]
+
+
 @lru_cache(maxsize=8)
 def _component_patterns(n: int) -> tuple[int, ...]:
     """Pattern i marks every table position whose index has bit i set.
 
     Each pattern is a 2^n-bit integer; they let table-wide questions about one
     component be answered with a constant number of big-integer operations.
+    Table passes ask for n <= 16 only, one chunk's worth.
     """
     total = 1 << n
     patterns = []
@@ -162,6 +210,7 @@ def _size_patterns(n: int) -> tuple[int, ...]:
 
     Built by the Pascal-triangle recursion: doubling the component count shifts
     a copy of each pattern into the half where the new component is present.
+    Table passes ask for n <= 16 only, one chunk's worth.
     """
     patterns = [1]
     for m in range(n):
@@ -181,32 +230,41 @@ def _reverse_bits(bits: int, width: int) -> int:
     return int.from_bytes(bits.to_bytes(width // 8, "little").translate(_REV8), "big")
 
 
+def _up_closure(bits: int, n: int) -> int:
+    """The up-set of the marked positions: every marked subset's supersets,
+    carried up one component at a time; the inverse of :func:`_minimal_true_bits`."""
+    chunks = _split_chunks(bits, n)
+    for _, k, carried in _carried_up(chunks, n):
+        chunks[k] |= carried
+    return _join_chunks(chunks, n)
+
+
 def _minimal_true_bits(bits: int, n: int) -> int:
     """Positions of inclusion-minimal true entries of a monotone table.
 
     For monotone phi a true subset is minimal exactly when removing any single
     component flips it false, which each component pattern checks in bulk.
     """
-    covered = 0
-    for i, pattern in enumerate(_component_patterns(n)):
-        covered |= (bits << (1 << i)) & pattern
-    return bits & ~covered
+    chunks = _split_chunks(bits, n)
+    covered = [0] * len(chunks)
+    for _, k, carried in _carried_up(chunks, n):
+        covered[k] |= carried
+    return _join_chunks([chunk ^ (chunk & c) for chunk, c in zip(chunks, covered)], n)
 
 
 def _true_count_by_size(table: "TruthTable") -> tuple[int, ...]:
-    """Entry k counts the size-k subsets on which the table holds value 1."""
-    patterns = _size_patterns(table.n)
-    return tuple((table.bits & p).bit_count() for p in patterns)
+    """Entry k counts the size-k subsets on which the table holds value 1.
 
-
-def _unpack_values(bits: int, n: int):
-    """The 2^n table values as an int32 numpy array, entry m holding bit m."""
-    import numpy as np
-
-    total = 1 << n
-    raw = bits.to_bytes((total + 7) // 8, "little")
-    unpacked = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=total, bitorder="little")
-    return unpacked.astype(np.int32)
+    Entry s of chunk k has size popcount(k) + s, so each chunk adds its
+    per-size counts at an offset.
+    """
+    patterns = _size_patterns(min(table.n, _CHUNK_N))
+    counts = [0] * (table.n + 1)
+    for k, chunk in enumerate(_split_chunks(table.bits, table.n)):
+        base = k.bit_count()
+        for s, pattern in enumerate(patterns):
+            counts[base + s] += (chunk & pattern).bit_count()
+    return tuple(counts)
 
 
 def _pack_values(values01) -> int:
@@ -217,17 +275,29 @@ def _pack_values(values01) -> int:
     return int.from_bytes(packed.tobytes(), "little")
 
 
-def _lattice_pass(arr, n: int, sign: int) -> None:
-    """In place, for each component i: arr[A + i] += sign * arr[A] for A without i.
+def _lattice_pass(arr, components: range, sign: int) -> None:
+    """In place, for each listed component i: arr[A + i] += sign * arr[A] for A without i.
 
     sign = +1 is the zeta transform (sum over contained subsets) and sign = -1
-    its Mobius inverse.
+    its Mobius inverse; the passes commute, so they may run in any groups.
     """
     op = operator.iadd if sign > 0 else operator.isub
-    for i in range(n):
+    for i in components:
         step = 1 << i
         view = arr.reshape(-1, 2 * step)
         op(view[:, step:], view[:, :step])
+
+
+@lru_cache(maxsize=1)
+def _mobius_words():
+    """Row w: the Mobius transform over components 1..4 of the 16 entries that
+    the 16-bit word w holds, bit j as entry j; within +-2^3, so int8."""
+    import numpy as np
+
+    rows = np.unpackbits(np.arange(1 << 16, dtype="<u2").view(np.uint8), bitorder="little")
+    rows = rows.astype(np.int8)
+    _lattice_pass(rows, range(4), -1)
+    return rows.reshape(-1, 16)
 
 
 def _check_component_count(n: int) -> None:
@@ -544,15 +614,19 @@ def validate_semicoherent(table: TruthTable) -> ValidationReport:
         violations.append("phi({}) = 1, expected 0")
     if not bits >> (total - 1) & 1:
         violations.append(f"phi({_set_str(total - 1)}) = 0, expected 1")
-    false_bits = ((1 << total) - 1) ^ bits
-    for i, pattern in enumerate(_component_patterns(n)):
-        step = 1 << i
-        bad = (bits << step) & false_bits & pattern
-        if bad:
-            m = (bad & -bad).bit_length() - 1
-            violations.append(
-                f"monotonicity violated: phi({_set_str(m ^ step)}) = 1 > 0 = phi({_set_str(m)})"
-            )
+    # Chunks ascend within a direction, so the first offending entry found
+    # in it is its lowest, whichever chunk holds it.
+    lowest: dict[int, int] = {}
+    chunks = _split_chunks(bits, n)
+    for i, k, carried in _carried_up(chunks, n):
+        bad = carried ^ (carried & chunks[k])  # carried & ~chunks[k] without a slow negative int
+        if bad and i not in lowest:
+            lowest[i] = (k << _CHUNK_N) | ((bad & -bad).bit_length() - 1)
+    for i in sorted(lowest):
+        m = lowest[i]
+        violations.append(
+            f"monotonicity violated: phi({_set_str(m ^ 1 << i)}) = 1 > 0 = phi({_set_str(m)})"
+        )
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -578,7 +652,7 @@ def zeta_transform(form: MultilinearForm, *, max_n: "int | None" = None) -> Trut
     arr = np.zeros(1 << form.n, dtype=np.int64 if magnitude < _INT64_SAFE else object)
     for mask, coeff in form.coeffs.items():
         arr[mask] = coeff
-    _lattice_pass(arr, form.n, +1)
+    _lattice_pass(arr, range(form.n), +1)
     bad = (arr != 0) & (arr != 1)
     if bad.any():
         m = int(np.argmax(bad))
@@ -596,10 +670,21 @@ def mobius_transform(table: TruthTable, *, max_n: "int | None" = None) -> Multil
     import numpy as np
 
     _check_max_n(table.n, max_n)
-    # After the pass over k components each entry is an alternating sum of 0/1
-    # values over the subsets of at most k components, so it stays within
-    # +-2^(k-1) <= 2^23 for n <= 24 and int32 is exact.
-    arr = _unpack_values(table.bits, table.n)
-    _lattice_pass(arr, table.n, -1)
+    n = table.n
+    # One little-endian 16-bit word per 16 entries, a table below n = 4
+    # zero-padded to one word; its lookup row has the passes over components
+    # 1..4 done. Padding adds supersets only, so the first 2^n entries hold.
+    raw = table.bits.to_bytes(max(2, (1 << n) >> 3), "little")
+    arr = _mobius_words().take(np.frombuffer(raw, dtype="<u2"), axis=0).reshape(-1)[: 1 << n]
+    # After the passes over k components each entry is an alternating sum of
+    # 2^k values 0 or 1, half of them subtracted, so it lies within +-2^(k-1):
+    # int8 holds it through k = 7, int16 through k = 15 and int32 up to
+    # k = N_MAX = 24.
+    done = 4
+    for stop, dtype in ((7, np.int8), (15, np.int16), (N_MAX, np.int32)):
+        if done < n:
+            arr = arr.astype(dtype, copy=False)
+            _lattice_pass(arr, range(done, min(stop, n)), -1)
+            done = stop
     nonzero = np.flatnonzero(arr)  # ascending
-    return MultilinearForm._trusted(table.n, dict(zip(nonzero.tolist(), arr[nonzero].tolist())))
+    return MultilinearForm._trusted(n, dict(zip(nonzero.tolist(), arr[nonzero].tolist())))

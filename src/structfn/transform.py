@@ -10,10 +10,9 @@ unions.
 Public family functions minimize their input under their own name. Forms,
 the diagonals and signatures read off them, and formation balances come from
 one pass over the set L of an r-member family's subfamily unions, doing work
-r * |L| <= 2^(r+1); only inclusion-exclusion reliability enumerates all 2^r
-subfamilies. When r exceeds the expansion cap they fall back to the dense
-table route, which is bounded by the component cap instead; only when both
-caps are exceeded do they raise :class:`~structfn.core.CapacityError`.
+r * |L| <= 2^(r+1). When r exceeds the expansion cap they fall back to the
+dense table route, which is bounded by the component cap instead; only when
+both caps are exceeded do they raise :class:`~structfn.core.CapacityError`.
 """
 
 from __future__ import annotations
@@ -30,13 +29,13 @@ from .core import (
     TruthTable,
     _BYTE_BITS,
     _check_max_n,
-    _component_patterns,
     _mask_bits,
     _minimal_true_bits,
     _require_semicoherent,
     _reverse_bits,
     _set_str,
     _subset_sort_key,
+    _up_closure,
     mobius_transform,
 )
 
@@ -160,7 +159,7 @@ def table_from_paths(paths: SetFamily, *, max_n: "int | None" = None) -> TruthTa
     """The table of the system that works iff some path set is fully working.
 
     The up-set of the members, in O(n * 2^n) whatever their number: each
-    component pattern carries the marked members up to their supersets, the
+    component in turn carries the marked members up to their supersets, the
     inverse of :func:`_minimal_true_bits`. Redundant (non-minimal) members are
     absorbed silently, and the result is semicoherent by construction.
     """
@@ -169,10 +168,7 @@ def table_from_paths(paths: SetFamily, *, max_n: "int | None" = None) -> TruthTa
     marks = bytearray(((1 << paths.n) + 7) // 8)
     for m in paths.masks():
         marks[m >> 3] |= 1 << (m & 7)
-    bits = int.from_bytes(marks, "little")
-    for i, pattern in enumerate(_component_patterns(paths.n)):
-        bits |= (bits << (1 << i)) & pattern
-    return TruthTable(n=paths.n, bits=bits)
+    return TruthTable(n=paths.n, bits=_up_closure(int.from_bytes(marks, "little"), paths.n))
 
 
 def table_from_cuts(cuts: SetFamily, *, max_n: "int | None" = None) -> TruthTable:

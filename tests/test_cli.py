@@ -15,6 +15,7 @@ from conftest import (
     BRIDGE_N,
     BRIDGE_PATHS,
     LATTICE_N20_PATHS,
+    LATTICE_N24_PATHS,
     OVERLAP_PAIRS,
     PAIRS_N,
     coproduct_table,
@@ -704,6 +705,7 @@ SCOPE_DOCS = {
         ],
     },
     "lattice_n20": {"n": 20, "paths": [list(p) for p in LATTICE_N20_PATHS]},
+    "lattice_n24": {"n": 24, "paths": [list(p) for p in LATTICE_N24_PATHS]},
 }
 
 # SHA-256 of the stdout of every command in both formats, recorded before the
@@ -777,6 +779,12 @@ STDOUT_DIGESTS = {
         "ec98459f6f74a9a88c56f6d5cb87048b2b418c0b4e02dee36d0553fd0e0e2f0e",
     ("lattice_n20", "reliability", "json"):
         "6624b48dbc50be921cf3cead0348f140642786fd8d56c528639b29f7eba8037c",
+    # Recorded before table passes ran on chunks of 2^16 entries: n = 24 has
+    # eight directions across chunks and a full int32 Mobius stage.
+    ("lattice_n24", "analyze", "text"):
+        "9ffe2cdffc93c044159d14c63c40e6958a4615190b6c52ed2ed666dea2b4dc81",
+    ("lattice_n24", "dual", "json"):
+        "1fe2c08a72281297b69de88bd2f92abf2dcb10936d9550e6a9cbf0082d66860d",
 }
 
 

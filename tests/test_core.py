@@ -1,5 +1,6 @@
 """Domain types, semicoherence validation, and the zeta/Mobius pair."""
 
+import functools
 import random
 import time
 
@@ -23,10 +24,12 @@ from structfn import (
 from structfn.core import (
     _component_patterns,
     _mask_labels,
+    _minimal_true_bits,
     _reverse_bits,
     _set_str,
     _size_patterns,
     _subset_sort_key,
+    _true_count_by_size,
 )
 from structfn.oracle import enumerate_semicoherent
 
@@ -411,6 +414,206 @@ class TestMobiusTransform:
         }
         assert form.coeffs == expected
         assert zeta_transform(form) == table
+
+
+def values_table(values, n):
+    """The table of a boolean numpy array, bit m from entry m."""
+    return TruthTable(n, int.from_bytes(np.packbits(values, bitorder="little").tobytes(), "little"))
+
+
+def subset_sizes(n):
+    """Entry m is the number of components in mask m."""
+    idx = np.arange(1 << n)
+    return sum(idx >> i & 1 for i in range(n))
+
+
+def table_values(table):
+    """The 2^n values of a table as an int64 numpy array, entry m holding bit m."""
+    return np.frombuffer(table.values_string().encode(), dtype=np.uint8).astype(np.int64) - 48
+
+
+def reference_mobius(table):
+    """coeff(A) by one plain int64 pass per component over the whole table."""
+    arr = table_values(table)
+    for i in range(table.n):
+        view = arr.reshape(-1, 2 << i)
+        view[:, 1 << i :] -= view[:, : 1 << i]
+    nonzero = np.flatnonzero(arr)
+    return dict(zip(nonzero.tolist(), arr[nonzero].tolist()))
+
+
+def parity_table(n, odd):
+    """phi(A) = 1 when |A| is odd (odd=True) or even (odd=False)."""
+    return values_table(subset_sizes(n) % 2 == odd, n)
+
+
+class TestMobiusWidths:
+    """The pass runs in int8 through 7 components, int16 through 15 and int32
+    after that; every stage must agree with a plain int64 pass."""
+
+    @pytest.mark.parametrize("n", range(1, 19))
+    def test_random_tables_match_the_int64_pass(self, n):
+        rng = random.Random(4000 + n)
+        for _ in range(3 if n <= 16 else 1):
+            table = TruthTable(n=n, bits=rng.getrandbits(1 << n))
+            assert mobius_transform(table).coeffs == reference_mobius(table)
+
+    @pytest.mark.parametrize("n", [7, 8, 15, 16])
+    @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
+    def test_parity_reaches_each_width_bound(self, n, odd):
+        # Odd parity has c(A) = (-1)^(|A|+1) * 2^(|A|-1) and even parity its
+        # negation plus c({}) = 1, so the full set reaches +-2^(n-1): +64
+        # and -64 in int8 at n = 7, +-128 past it at n = 8, +-2^14 in int16
+        # at n = 15 and +-2^15 past it at n = 16.
+        table = parity_table(n, odd)
+        form = mobius_transform(table)
+        top = 1 << (n - 1)
+        assert form.coeffs[(1 << n) - 1] == (top if (n % 2) == odd else -top)
+        assert form.coeffs == reference_mobius(table)
+
+
+def reference_up_set(masks, n):
+    """Table values: entry A is 1 when A contains some mask."""
+    idx = np.arange(1 << n)
+    values = np.zeros(1 << n, dtype=bool)
+    for m in masks:
+        values |= idx & m == m
+    return values
+
+
+def reference_minimal(values, n):
+    """True entries none of whose one-smaller subsets is true."""
+    idx = np.arange(1 << n)
+    minimal = values.copy()
+    for i in range(n):
+        has = idx >> i & 1 == 1
+        minimal[has] &= ~values[idx[has] ^ 1 << i]
+    return minimal
+
+
+def reference_violations(values, n):
+    """validate_semicoherent's messages, by scanning each direction for its
+    lowest superset that is false while its subset without the component is true."""
+    idx = np.arange(1 << n)
+    messages = []
+    if values[0]:
+        messages.append("phi({}) = 1, expected 0")
+    if not values[-1]:
+        messages.append(f"phi({_set_str((1 << n) - 1)}) = 0, expected 1")
+    for i in range(n):
+        supersets = idx[idx >> i & 1 == 1]
+        bad = supersets[values[supersets ^ 1 << i] & ~values[supersets]]
+        if bad.size:
+            m = int(bad[0])
+            messages.append(
+                f"monotonicity violated: phi({_set_str(m ^ 1 << i)}) = 1 > 0 = phi({_set_str(m)})"
+            )
+    return tuple(messages)
+
+
+def bit(*components):
+    return sum(1 << (c - 1) for c in components)
+
+
+@functools.lru_cache(maxsize=None)
+def flipped_up_sets(n):
+    """(description, values) pairs: seeded up-sets with a few entries flipped,
+    and up-sets broken at chosen pairs across and inside chunks of 2^16 entries."""
+    rng = random.Random(100 + n)
+    cases = []
+    for trial in range(3):
+        masks = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(rng.randint(2, 6))]
+        values = reference_up_set(masks, n)
+        cases.append((f"up-set {trial}", values.copy()))
+        for a in rng.sample(range(1 << n), 3):
+            values[a] = not values[a]
+        cases.append((f"flipped up-set {trial}", values))
+    cases.append(("random", np.random.default_rng(n).random(1 << n) < 0.5))
+    if n >= 17:
+        # Only {1} -> {1,17} breaks: a violation along component 17 alone.
+        values = reference_up_set([bit(1)], n)
+        values[bit(1, 17)] = False
+        cases.append(("component 17 only", values))
+        # Only {1,17} -> {1,2,17} breaks: the lowest offending subset lies in
+        # the second chunk, along a component that acts inside chunks.
+        values = reference_up_set([bit(1, 17)], n)
+        values[bit(1, 2, 17)] = False
+        cases.append(("second chunk only", values))
+    if n >= 18:
+        # {3,17,18} -> {2,3,17,18} in the last chunk, and {2,17} -> {2,17,18}
+        # along component 18.
+        values = reference_up_set([bit(3, 17, 18), bit(2, 17)], n)
+        values[bit(2, 3, 17, 18)] = False
+        values[bit(2, 17, 18)] = False
+        cases.append(("last chunk and component 18", values))
+    return tuple(cases)
+
+
+class TestChunkEdges:
+    """Table passes split a table into chunks of 2^16 entries; at n = 15..18
+    they must agree with brute force on either side of that edge."""
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_table_from_paths(self, n):
+        rng = random.Random(200 + n)
+        for _ in range(4):
+            masks = [rng.getrandbits(n) | 1 for _ in range(rng.randint(1, 8))]
+            paths = SetFamily._trusted(n, tuple(sorted(set(masks), key=_subset_sort_key)))
+            assert table_from_paths(paths) == values_table(reference_up_set(masks, n), n)
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_minimal_true_bits(self, n):
+        for name, values in flipped_up_sets(n):
+            table = values_table(values, n)
+            expected = values_table(reference_minimal(values, n), n)
+            assert _minimal_true_bits(table.bits, n) == expected.bits, name
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_true_count_by_size(self, n):
+        sizes = subset_sizes(n)
+        for name, values in flipped_up_sets(n):
+            expected = tuple(np.bincount(sizes[values], minlength=n + 1).tolist())
+            assert _true_count_by_size(values_table(values, n)) == expected, name
+
+    @pytest.mark.parametrize("n", [15, 16, 17, 18])
+    def test_validation_messages(self, n):
+        for name, values in flipped_up_sets(n):
+            report = validate_semicoherent(values_table(values, n))
+            assert report.violations == reference_violations(values, n), name
+
+    def test_named_violations(self):
+        values = reference_up_set([bit(1, 17)], 18)
+        values[bit(1, 2, 17)] = False
+        assert validate_semicoherent(values_table(values, 18)).violations == (
+            "monotonicity violated: phi({1,17}) = 1 > 0 = phi({1,2,17})",
+        )
+        values = reference_up_set([bit(1)], 17)
+        values[bit(1, 17)] = False
+        assert validate_semicoherent(values_table(values, 17)).violations == (
+            "monotonicity violated: phi({1}) = 1 > 0 = phi({1,17})",
+        )
+
+    def test_patterns_stay_within_one_chunk(self, monkeypatch):
+        import structfn.core
+
+        asked = []
+        for name in ("_component_patterns", "_size_patterns"):
+            original = getattr(structfn.core, name)
+
+            def recorded(n, original=original, name=name):
+                asked.append((name, n))
+                return original(n)
+
+            monkeypatch.setattr(f"structfn.core.{name}", recorded)
+        table = table_from_paths(family(LATTICE_N20_PATHS, 20))
+        _minimal_true_bits(table.bits, 20)
+        _true_count_by_size(table)
+        assert validate_semicoherent(table).ok
+        assert validate_semicoherent(TruthTable(n=20, bits=1)).violations[0] == (
+            "phi({}) = 1, expected 0"
+        )
+        assert {name for name, _ in asked} == {"_component_patterns", "_size_patterns"}
+        assert max(n for _, n in asked) == 16
 
 
 class TestBitHelpers:

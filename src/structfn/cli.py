@@ -458,12 +458,10 @@ def _run_reliability(system: SystemDoc, options: Options) -> Report:
 def _formations_match(paths: SetFamily, form: MultilinearForm) -> bool:
     """Odd minus even formations, the formation balance and the coefficient agree
     on every term of the form, union of paths and subset of at most two components."""
-    unions: set[int] = set()  # the union closure of the paths, at most 2^r - 1 sets
-    for m in paths.masks():
-        unions |= {u | m for u in unions} | {m}
+    census = oracle._formation_census(paths)  # keyed by the union closure of the paths
     small = {m for m in range(1 << form.n) if m.bit_count() <= 2}
-    for mask in sorted(set(form.coeffs) | unions | small):
-        odd, even = oracle.oracle_formations(paths, mask)
+    for mask in sorted(set(form.coeffs) | census.keys() | small):
+        odd, even = census.get(mask, (0, 0))
         if not odd - even == formation_balance(paths, mask) == form.coefficient(mask):
             return False
     return True

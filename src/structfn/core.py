@@ -111,12 +111,14 @@ def _subset_sort_key(mask: int) -> int:
     return (mask.bit_count() << 24) | (0xFFFFFF - mirrored)
 
 
-# _BYTE_BITS[b]: the set bit positions of byte b. _BYTE_LABELS[k][b]: the
-# 1-based component labels of those bits when b is byte k of a mask.
+# _BYTE_BITS[b]: the set bit positions of byte b. _BYTE_POSITIONS[k][b] and
+# _BYTE_LABELS[k][b]: the bit positions and the 1-based component labels of
+# those bits when b is byte k of a mask.
 _BYTE_BITS = tuple(tuple(j for j in range(8) if b >> j & 1) for b in range(256))
-_BYTE_LABELS = tuple(
-    tuple(tuple(8 * k + j + 1 for j in bits) for bits in _BYTE_BITS) for k in range(3)
+_BYTE_POSITIONS = tuple(
+    tuple(tuple(8 * k + j for j in bits) for bits in _BYTE_BITS) for k in range(3)
 )
+_BYTE_LABELS = tuple(tuple(tuple(i + 1 for i in ps) for ps in level) for level in _BYTE_POSITIONS)
 
 
 def _mask_labels(mask: int) -> tuple[int, ...]:
@@ -686,5 +688,5 @@ def mobius_transform(table: TruthTable, *, max_n: "int | None" = None) -> Multil
             arr = arr.astype(dtype, copy=False)
             _lattice_pass(arr, range(done, min(stop, n)), -1)
             done = stop
-    nonzero = np.flatnonzero(arr)  # ascending
+    nonzero = np.flatnonzero(arr != 0)  # ascending; a bool array scans faster than int32
     return MultilinearForm._trusted(n, dict(zip(nonzero.tolist(), arr[nonzero].tolist())))

@@ -1,9 +1,11 @@
 """Brute-force reference implementations working straight from definitions.
 
 Everything here trades speed for transparency: subsets are enumerated one at
-a time with itertools and checked against the defining property, with none of
-the bitwise bulk operations or lattice transforms the fast routes use. The
-test suite and the CLI ``verify`` command compare fast results against these.
+a time, as int masks, and checked against the defining property, with none of
+the table-wide bitwise operations or lattice transforms the fast routes use.
+Submasks come from ``(sub - 1) & mask``, and phi(A) is bit A of the table's
+``bits``. The test suite and the CLI ``verify`` command compare fast results
+against these.
 
 Deliberate limits: semicoherent enumeration stops at four components and
 formation censuses at sixteen family members, past which the search spaces
@@ -12,7 +14,6 @@ explode. Nothing here is meant for production-size inputs.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
 from .core import CapacityError, MultilinearForm, SetFamily, SubsetMask, TruthTable
@@ -30,18 +31,6 @@ __all__ = [
 
 ORACLE_N_MAX = 4
 ORACLE_R_MAX = 16
-
-
-def _components_to_mask(components: tuple[int, ...]) -> int:
-    mask = 0
-    for c in components:
-        mask |= 1 << (c - 1)
-    return mask
-
-
-def _proper_subsets(components: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    for size in range(len(components)):
-        yield from itertools.combinations(components, size)
 
 
 def enumerate_semicoherent(n: int) -> Iterator[TruthTable]:
@@ -71,49 +60,42 @@ def enumerate_semicoherent(n: int) -> Iterator[TruthTable]:
 
 def oracle_dual_table(table: TruthTable) -> TruthTable:
     """Dual table by pointwise definition: dual(A) = 1 - phi(complement of A)."""
-    n = table.n
-    everything = tuple(range(1, n + 1))
-    bits = 0
-    for size in range(n + 1):
-        for combo in itertools.combinations(everything, size):
-            rest = tuple(c for c in everything if c not in combo)
-            if 1 - table.phi(_components_to_mask(rest)):
-                bits |= 1 << _components_to_mask(combo)
-    return TruthTable(n=n, bits=bits)
+    n, bits = table.n, table.bits
+    full = (1 << n) - 1
+    dual = 0
+    for mask in range(1 << n):
+        if 1 - (bits >> (full ^ mask) & 1):
+            dual |= 1 << mask
+    return TruthTable(n=n, bits=dual)
+
+
+def _minimal_sets(table: TruthTable, flip: int, value: int) -> SetFamily:
+    """Every nonempty A with phi(A ^ flip) = value where no proper subset S of A
+    has phi(S ^ flip) = value, each proper subset checked in turn."""
+    n, bits = table.n, table.bits
+    members = []
+    for mask in range(1, 1 << n):
+        if bits >> (mask ^ flip) & 1 != value:
+            continue
+        sub = mask
+        while sub:  # the proper subsets of mask, the empty set last
+            sub = (sub - 1) & mask
+            if bits >> (sub ^ flip) & 1 == value:
+                break
+        else:
+            members.append(SubsetMask(bits=mask, n=n))
+    return SetFamily(n=n, members=tuple(members))
 
 
 def oracle_minimal_path_sets(table: TruthTable) -> SetFamily:
     """Minimal path sets by definition: phi = 1 on the set, 0 on every proper subset."""
-    n = table.n
-    members = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(1, n + 1), size):
-            if table.phi(_components_to_mask(combo)) != 1:
-                continue
-            if all(
-                table.phi(_components_to_mask(sub)) == 0 for sub in _proper_subsets(combo)
-            ):
-                members.append(combo)
-    return SetFamily.from_sets(members, n=n)
+    return _minimal_sets(table, 0, 1)
 
 
 def oracle_minimal_cut_sets(table: TruthTable) -> SetFamily:
     """Minimal cut sets by definition: the system fails when the whole set fails,
     but survives the failure of every proper subset."""
-    n = table.n
-    everything = tuple(range(1, n + 1))
-    members = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(everything, size):
-            outside = tuple(c for c in everything if c not in combo)
-            if table.phi(_components_to_mask(outside)) != 0:
-                continue
-            if all(
-                table.phi(_components_to_mask(tuple(c for c in everything if c not in sub))) == 1
-                for sub in _proper_subsets(combo)
-            ):
-                members.append(combo)
-    return SetFamily.from_sets(members, n=n)
+    return _minimal_sets(table, (1 << table.n) - 1, 0)
 
 
 def oracle_simple_form(table: TruthTable) -> MultilinearForm:
@@ -123,48 +105,49 @@ def oracle_simple_form(table: TruthTable) -> MultilinearForm:
     prod_{i not in A} (1 - x_i), expand every (1 - x_i) product into signed
     monomials, and collect like terms. No lattice transform involved.
     """
-    n = table.n
-    everything = tuple(range(1, n + 1))
+    n, bits = table.n, table.bits
+    full = (1 << n) - 1
     coeffs: dict[int, int] = {}
-    for size in range(n + 1):
-        for combo in itertools.combinations(everything, size):
-            if table.phi(_components_to_mask(combo)) != 1:
-                continue
-            absent = tuple(c for c in everything if c not in combo)
-            base = _components_to_mask(combo)
-            for extra_size in range(len(absent) + 1):
-                sign = 1 if extra_size % 2 == 0 else -1
-                for extra in itertools.combinations(absent, extra_size):
-                    key = base | _components_to_mask(extra)
-                    coeffs[key] = coeffs.get(key, 0) + sign
+    for mask in range(1 << n):
+        if not bits >> mask & 1:
+            continue
+        absent = extra = full ^ mask
+        while True:  # every subset of the absent components, the empty set last
+            key = mask | extra
+            coeffs[key] = coeffs.get(key, 0) + (-1 if extra.bit_count() & 1 else 1)
+            if not extra:
+                break
+            extra = (extra - 1) & absent
     return MultilinearForm(n=n, coeffs=coeffs)
 
 
-def oracle_formations(paths: SetFamily, subset: "SubsetMask | int") -> tuple[int, int]:
-    """Counts of (odd, even)-size nonempty subfamilies whose union is the subset.
+def _formation_census(paths: SetFamily) -> dict[int, tuple[int, int]]:
+    """Counts of (odd, even)-size nonempty subfamilies by their union.
 
-    Enumerates every nonempty subfamily of the path family, forms its union as
-    a plain set of component labels, and tallies by subfamily parity. The
-    difference odd - even is the subset's simple-form coefficient.
+    Enumerates every nonempty subfamily of the path family, as a mask over
+    its members, and forms its union from that of the subfamily without its
+    lowest member. The keys are the union closure of the family.
     """
     if paths.r > ORACLE_R_MAX:
         raise CapacityError(
             f"formation census supported for at most {ORACLE_R_MAX} members, got {paths.r}"
         )
-    if isinstance(subset, SubsetMask):
-        target = set(subset.components())
-    else:
-        target = {i + 1 for i in range(paths.n) if subset >> i & 1}
-    member_sets = [set(m.components()) for m in paths.members]
-    odd = even = 0
-    for size in range(1, len(member_sets) + 1):
-        for combo in itertools.combinations(member_sets, size):
-            union: set[int] = set()
-            for member in combo:
-                union |= member
-            if union == target:
-                if size % 2:
-                    odd += 1
-                else:
-                    even += 1
-    return (odd, even)
+    masks = paths.masks()
+    unions = [0] * (1 << len(masks))
+    census: dict[int, list[int]] = {}
+    for chosen in range(1, len(unions)):
+        low = chosen & -chosen
+        unions[chosen] = union = unions[chosen ^ low] | masks[low.bit_length() - 1]
+        census.setdefault(union, [0, 0])[~chosen.bit_count() & 1] += 1  # [odd, even]
+    return {union: (odd, even) for union, (odd, even) in census.items()}
+
+
+def oracle_formations(paths: SetFamily, subset: "SubsetMask | int") -> tuple[int, int]:
+    """Counts of (odd, even)-size nonempty subfamilies whose union is the subset.
+
+    Reads the subset's entry of the family's formation census. The difference
+    odd - even is the subset's simple-form coefficient.
+    """
+    census = _formation_census(paths)
+    target = subset.bits if isinstance(subset, SubsetMask) else subset & ((1 << paths.n) - 1)
+    return census.get(target, (0, 0))

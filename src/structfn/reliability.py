@@ -27,7 +27,7 @@ from math import prod
 from operator import and_, or_
 from typing import Iterable, Sequence
 
-from .core import DiagonalPoly, MultilinearForm, SetFamily, _iter_bit_positions
+from .core import DiagonalPoly, MultilinearForm, SetFamily, _BYTE_POSITIONS, _iter_bit_positions
 from .transform import _expands, _form_of, _minimal_family, _require_members
 
 __all__ = [
@@ -100,9 +100,10 @@ def evaluate_reliability(form: MultilinearForm, p: Sequence):
                 mask >>= 6
             total += term
         return _from_common_denominator(total, common, p, form.coeffs)
+    low, mid, high = _BYTE_POSITIONS
     total = 0
     for mask, term in form.coeffs.items():  # ascending masks, as every form stores them
-        for i in _iter_bit_positions(mask):
+        for i in low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]:  # ascending
             term = term * p[i]
         total += term
     return total

@@ -306,7 +306,29 @@ class TestSingleViewCommands:
         assert "dual signature: (0, 1/5, 3/5, 1/5, 0)" in out
 
 
+# Twelve path sets on twenty components, whose form has 597 terms.
+SEEDED_N20_PATHS = greedy_antichain(random.Random(20), 20, 12, 2, 6)
+SEEDED_N20_DOC = {"n": 20, "paths": [list(m.components()) for m in SEEDED_N20_PATHS.members]}
+
+# SHA-256 of the stdout of `reliability --p 0.9`, recorded while the float term
+# loop still read each term's components from a bit-by-bit generator.
+FLOAT_RELIABILITY_DIGESTS = {
+    ("bridge", "text"): "04595bbfcbdfdbddd176da7d247195269963245e9cf8c496eccdc80fa57f1f6a",
+    ("bridge", "json"): "5777b05734a97fe3162f7f38ceb03050497c565b8551ac9a55f849140218c605",
+    ("seeded_n20", "text"): "443035d46e6a76f36d8fe37b6a2205bfbc9543605a5ed475a931b5bb1f29c12d",
+    ("seeded_n20", "json"): "2388313716ca667217a9c63529fbb59b4fefe20d411bce077d85a870f3205045",
+}
+
+
 class TestReliability:
+    @pytest.mark.parametrize("doc_name, fmt", sorted(FLOAT_RELIABILITY_DIGESTS))
+    def test_float_stdout_is_unchanged(self, tmp_path, capsys, doc_name, fmt):
+        doc = {"bridge": BRIDGE_DOC, "seeded_n20": SEEDED_N20_DOC}[doc_name]
+        rc = main(["reliability", "--p", "0.9", "--format", fmt, write_doc(tmp_path, doc)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == FLOAT_RELIABILITY_DIGESTS[doc_name, fmt]
+
     def test_exact_common_probability(self, tmp_path, capsys):
         rc = main(["reliability", "--exact", "--p", "1/2", write_doc(tmp_path, BRIDGE_DOC)])
         assert rc == EXIT_OK
@@ -495,6 +517,21 @@ class TestVerify:
         out = capsys.readouterr().out
         assert rc == EXIT_MISMATCH
         assert "check formation census matches simple form: MISMATCH\n" in out
+
+    def test_planted_census_fault_is_reported(self, tmp_path, capsys, monkeypatch):
+        import structfn.oracle
+
+        true_census = structfn.oracle._formation_census
+
+        def shifted_census(paths):
+            return {union: (odd, even + 1) for union, (odd, even) in true_census(paths).items()}
+
+        monkeypatch.setattr("structfn.oracle._formation_census", shifted_census)
+        rc = main(["verify", write_doc(tmp_path, BRIDGE_DOC)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_MISMATCH
+        assert "check formation census matches simple form: MISMATCH\n" in out
+        assert "verification: FAIL (7/8 checks)" in out
 
     def test_max_r_one_checks_the_dense_route(self, capsys, monkeypatch):
         import structfn.transform

@@ -209,6 +209,28 @@ class TestEvaluateReliability:
             p = tuple(Fraction((mask >> i) & 1) for i in range(PAIRS_N))
             assert evaluate_reliability(form, p) == table.phi(mask)
 
+    def test_plain_loop_is_bit_identical_to_the_term_loop(self):
+        """Forms up to n = 24 use all three mask bytes; each p keeps the plain loop."""
+        rng = random.Random(20141022)
+        forms = [bridge_form()]
+        for n in (8, 9, 16, 17, 24):
+            forms.append(simple_form_from_paths(greedy_antichain(rng, n, rng.randint(2, 10), 1, 6)))
+            coeffs = {rng.randrange(1 << n): rng.randint(-9, 9) for _ in range(300)}
+            forms.append(MultilinearForm(n=n, coeffs=coeffs))
+        assert max(form.n for form in forms) == 24 and any(max(f.coeffs) >> 16 for f in forms)
+        for form in forms:
+            n = form.n
+            rows = [
+                [rng.uniform(0.05, 0.95) for _ in range(n)],
+                [rng.randrange(2) for _ in range(n)],
+                [rng.random() < 0.5 for _ in range(n)],
+                [np.float64(rng.random()) for _ in range(n)],
+                [rng.random() if rng.randrange(2) else rng.randrange(2) for _ in range(n)],
+            ]
+            for p in rows:
+                value, expected = evaluate_reliability(form, p), loop_reliability(form, p)
+                assert type(value) is type(expected) and repr(value) == repr(expected)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(ValueError, match="expected 5"):
             evaluate_reliability(bridge_form(), (HALF,) * 4)

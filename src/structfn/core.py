@@ -234,15 +234,16 @@ def _reverse_bits(bits: int, width: int) -> int:
 
 def _up_closure(bits: int, n: int) -> int:
     """The up-set of the marked positions: every marked subset's supersets,
-    carried up one component at a time; the inverse of :func:`_minimal_true_bits`."""
+    carried up one component at a time; the inverse of :func:`_minimal_true_chunks`."""
     chunks = _split_chunks(bits, n)
     for _, k, carried in _carried_up(chunks, n):
         chunks[k] |= carried
     return _join_chunks(chunks, n)
 
 
-def _minimal_true_bits(bits: int, n: int) -> int:
-    """Positions of inclusion-minimal true entries of a monotone table.
+def _minimal_true_chunks(bits: int, n: int) -> list[int]:
+    """Positions of inclusion-minimal true entries of a monotone table, as the
+    chunks of :func:`_split_chunks`.
 
     For monotone phi a true subset is minimal exactly when removing any single
     component flips it false, which each component pattern checks in bulk.
@@ -251,7 +252,7 @@ def _minimal_true_bits(bits: int, n: int) -> int:
     covered = [0] * len(chunks)
     for _, k, carried in _carried_up(chunks, n):
         covered[k] |= carried
-    return _join_chunks([chunk ^ (chunk & c) for chunk, c in zip(chunks, covered)], n)
+    return [chunk ^ (chunk & c) for chunk, c in zip(chunks, covered)]
 
 
 def _true_count_by_size(table: "TruthTable") -> tuple[int, ...]:
@@ -588,6 +589,15 @@ class SignatureVector:
         if sum(values) != 1:
             raise InvalidSignatureError(f"entries sum to {sum(values)}, expected 1")
         object.__setattr__(self, "s", values)
+
+    @classmethod
+    def _trusted(cls, n: int, s: tuple[Fraction, ...]) -> "SignatureVector":
+        """A signature built by the library: ``s`` already holds n nonnegative
+        Fractions summing to 1, so nothing is re-checked."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "n", n)
+        object.__setattr__(sig, "s", s)
+        return sig
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(v) for v in self.s) + ")"

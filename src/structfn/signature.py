@@ -15,7 +15,7 @@ beyond size two the signature no longer pins them down.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 from typing import Sequence
 
 from .core import (
@@ -46,10 +46,22 @@ def _signature_from_counts(n: int, ones: Sequence[int]) -> SignatureVector:
     """Boland's step from ones(0..n), the number of size-j working subsets.
 
     s_k = ones(n-k+1)/C(n, n-k+1) - ones(n-k)/C(n, n-k): the share of working
-    subsets just before the k-th failure minus the share just after.
+    subsets just before the k-th failure minus the share just after. Over the
+    common denominator n!, with j = n-k+1, the numerator is the integer
+    ones(j) * j!(n-j)! - ones(j-1) * (j-1)!(n-j+1)!, checked as
+    :class:`SignatureVector` checks its entries.
     """
-    share = [Fraction(ones[j], comb(n, j)) for j in range(n + 1)]
-    return SignatureVector(n=n, s=tuple(share[n - k + 1] - share[n - k] for k in range(1, n + 1)))
+    total = factorial(n)
+    scaled = [ones[j] * factorial(j) * factorial(n - j) for j in range(n + 1)]
+    numerators = [scaled[j] - scaled[j - 1] for j in range(n, 0, -1)]  # k = 1..n
+    for k, v in enumerate(numerators, start=1):
+        if v < 0:
+            raise InvalidSignatureError(f"entry {k} is negative: {Fraction(v, total)}")
+    if scaled[n] - scaled[0] != total:  # the numerators telescope
+        raise InvalidSignatureError(
+            f"entries sum to {Fraction(scaled[n] - scaled[0], total)}, expected 1"
+        )
+    return SignatureVector._trusted(n, tuple(Fraction(v, total) for v in numerators))
 
 
 def signature_boland(table: TruthTable) -> SignatureVector:

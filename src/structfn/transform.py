@@ -28,9 +28,10 @@ from .core import (
     SetFamily,
     TruthTable,
     _BYTE_BITS,
+    _CHUNK_N,
     _check_max_n,
     _mask_bits,
-    _minimal_true_bits,
+    _minimal_true_chunks,
     _require_semicoherent,
     _reverse_bits,
     _set_str,
@@ -114,8 +115,8 @@ def dualize_table(table: TruthTable) -> TruthTable:
 _NONZERO_FLAGS = bytes([0] + [1] * 255)
 
 
-def _table_bit_positions(bits: int, width: int) -> list[int]:
-    """Set bit positions of a ``width``-bit table integer, ascending.
+def _table_bit_positions(bits: int, width: int, base: int = 0) -> list[int]:
+    """Set bit positions of a ``width``-bit table integer plus ``base``, ascending.
 
     Linear in the width: one translation flags the nonzero bytes, ``find``
     skips the zero stretches between them, and only the nonzero bytes are
@@ -126,7 +127,8 @@ def _table_bit_positions(bits: int, width: int) -> list[int]:
     positions: list[int] = []
     index = flags.find(1)
     while index >= 0:
-        positions.extend(8 * index + j for j in _BYTE_BITS[raw[index]])
+        start = base + 8 * index
+        positions.extend(start + j for j in _BYTE_BITS[raw[index]])
         index = flags.find(1, index + 1)
     return positions
 
@@ -142,8 +144,14 @@ def minimal_path_sets(table: TruthTable) -> SetFamily:
 
 
 def _minimal_paths(table: TruthTable) -> SetFamily:
-    """:func:`minimal_path_sets` of a table already known to be semicoherent."""
-    positions = _table_bit_positions(_minimal_true_bits(table.bits, table.n), 1 << table.n)
+    """:func:`minimal_path_sets` of a table already known to be semicoherent.
+
+    The positions are read chunk by chunk: entry j of chunk k is subset k * 2^16 + j.
+    """
+    width = 1 << min(table.n, _CHUNK_N)
+    positions: list[int] = []
+    for k, chunk in enumerate(_minimal_true_chunks(table.bits, table.n)):
+        positions += _table_bit_positions(chunk, width, k << _CHUNK_N)
     return SetFamily._trusted(table.n, tuple(sorted(positions, key=_subset_sort_key)))
 
 
@@ -160,7 +168,7 @@ def table_from_paths(paths: SetFamily, *, max_n: "int | None" = None) -> TruthTa
 
     The up-set of the members, in O(n * 2^n) whatever their number: each
     component in turn carries the marked members up to their supersets, the
-    inverse of :func:`_minimal_true_bits`. Redundant (non-minimal) members are
+    inverse of :func:`_minimal_true_chunks`. Redundant (non-minimal) members are
     absorbed silently, and the result is semicoherent by construction.
     """
     _check_max_n(paths.n, max_n)

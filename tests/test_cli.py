@@ -21,6 +21,7 @@ from conftest import (
     coproduct_table,
     family,
     greedy_antichain,
+    k_of_n_table,
 )
 
 from structfn import (
@@ -28,6 +29,7 @@ from structfn import (
     CapacityError,
     MultilinearForm,
     SubsetMask,
+    TruthTable,
     diagonal_from_paths,
     dualize_table,
     evaluate_inclusion_exclusion,
@@ -48,9 +50,12 @@ from structfn.cli import (
     EXIT_OK,
     VERIFY_N_MAX,
     _form_json,
+    _vertices_match,
     main,
     parse_document,
+    run_command,
 )
+from structfn.oracle import enumerate_semicoherent
 
 BRIDGE_DOC = {"n": 5, "paths": [[1, 4], [2, 5], [1, 3, 5], [2, 3, 4]]}
 OVERLAP_DOC = {"n": 4, "paths": [[1, 2], [1, 3], [2, 3, 4]]}
@@ -579,6 +584,107 @@ class TestVerify:
         assert "monotonicity" not in err
 
 
+def vertex_sweep(form: MultilinearForm, table: TruthTable) -> bool:
+    """The vertex check as it was: one evaluation at each of the 2^n vertices."""
+    return all(
+        evaluate_reliability(form, [m >> i & 1 for i in range(table.n)]) == table.phi(m)
+        for m in range(1 << table.n)
+    )
+
+
+def integer_mobius(values: list[int], n: int) -> MultilinearForm:
+    """The form that takes the integer values[m] at each vertex m."""
+    coeffs = list(values)
+    for i in range(n):
+        for m in range(1 << n):
+            if m >> i & 1:
+                coeffs[m] -= coeffs[m ^ 1 << i]
+    return MultilinearForm(n=n, coeffs=dict(enumerate(coeffs)))
+
+
+def seeded_tables() -> list[TruthTable]:
+    """Tables of seeded antichains, four for each n = 5..10."""
+    rng = random.Random(36)
+    return [
+        table_from_paths(greedy_antichain(rng, n, rng.randint(1, 12), 1, n))
+        for n in range(5, VERIFY_N_MAX + 1)
+        for _ in range(4)
+    ]
+
+
+class TestVertexCheck:
+    """verify's vertex check, one exact evaluation, against the per-vertex sweep."""
+
+    def test_every_small_system(self):
+        for n in range(1, 5):
+            tables = enumerate_semicoherent(n)
+            for table in tables:
+                form = mobius_transform(table)
+                assert _vertices_match(form, table) is vertex_sweep(form, table) is True
+            if n <= 3:  # every form of this size against every table
+                for table in tables:
+                    for other in tables:
+                        form = mobius_transform(other)
+                        assert _vertices_match(form, table) is vertex_sweep(form, table)
+
+    def test_seeded_antichains(self):
+        for table in seeded_tables():
+            form = mobius_transform(table)
+            assert _vertices_match(form, table) is vertex_sweep(form, table) is True
+
+    @pytest.mark.parametrize("shift", ["1", "-1", "2", "-2", "2^n", "-2^n"])
+    def test_shifted_coefficient(self, shift):
+        rng = random.Random(shift)
+        for table in [BRIDGE_TABLE, *seeded_tables()]:
+            n = table.n
+            delta = {"1": 1, "-1": -1, "2": 2, "-2": -2, "2^n": 1 << n, "-2^n": -(1 << n)}[shift]
+            coeffs = dict(mobius_transform(table).coeffs)
+            for mask in {0, (1 << n) - 1, rng.choice(list(coeffs)), rng.randrange(1 << n)}:
+                shifted = MultilinearForm(n=n, coeffs={**coeffs, mask: coeffs.get(mask, 0) + delta})
+                assert _vertices_match(shifted, table) is vertex_sweep(shifted, table) is False
+
+    def test_errors_that_cancel_in_base_two(self):
+        """Errors of +2 at digit k and -1 at digit k + 1 sum to zero in base 2.
+
+        Digit k holds the value at vertex full ^ k, so each such pair of
+        vertex errors is invisible to a base-2 encoding of the vertex values."""
+        n, full = BRIDGE_N, (1 << BRIDGE_N) - 1
+        values = [BRIDGE_TABLE.phi(m) for m in range(1 << n)]
+        for k in range(full):
+            errors = {full ^ k: 2, full ^ (k + 1): -1}
+            assert sum(e << (full ^ m) for m, e in errors.items()) == 0
+            form = integer_mobius([v + errors.get(m, 0) for m, v in enumerate(values)], n)
+            assert _vertices_match(form, BRIDGE_TABLE) is vertex_sweep(form, BRIDGE_TABLE) is False
+
+    def test_one_evaluation(self, monkeypatch):
+        import structfn.cli
+
+        calls = []
+        true_evaluate = structfn.cli.evaluate_reliability
+
+        def counted(form, p):
+            calls.append(len(p))
+            return true_evaluate(form, p)
+
+        monkeypatch.setattr("structfn.cli.evaluate_reliability", counted)
+        table = k_of_n_table(5, VERIFY_N_MAX)
+        assert _vertices_match(mobius_transform(table), table)
+        assert calls == [VERIFY_N_MAX]
+
+    def test_cli_reports_an_evaluation_off_by_one(self, tmp_path, capsys, monkeypatch):
+        import structfn.cli
+
+        true_evaluate = structfn.cli.evaluate_reliability
+        monkeypatch.setattr(
+            "structfn.cli.evaluate_reliability", lambda form, p: true_evaluate(form, p) + 1
+        )
+        rc = main(["verify", write_doc(tmp_path, BRIDGE_DOC)])
+        out = capsys.readouterr().out
+        assert rc == EXIT_MISMATCH
+        assert "check reliability at vertices matches table: MISMATCH\n" in out
+        assert out.endswith("verification: FAIL (7/8 checks)\n")
+
+
 class TestExitCodes:
     def test_missing_file(self, capsys):
         rc = main(["analyze", "/nonexistent/system.json"])
@@ -645,6 +751,12 @@ class TestExitCodes:
         rc = main(["frobnicate", write_doc(tmp_path, BRIDGE_DOC)])
         assert rc == EXIT_INPUT
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_run_command_names_an_unknown_command(self):
+        system = parse_document(json.dumps(BRIDGE_DOC))
+        with pytest.raises(ValueError) as excinfo:
+            run_command(system, "frobnicate")
+        assert str(excinfo.value) == "unknown command 'frobnicate'"
 
     def test_capacity_cap_from_flag(self, tmp_path, capsys):
         rc = main(["analyze", "--max-n", "4", write_doc(tmp_path, BRIDGE_DOC)])

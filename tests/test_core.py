@@ -11,6 +11,7 @@ from conftest import BRIDGE_N, BRIDGE_PATHS, LATTICE_N20_PATHS, coproduct_table,
 
 from structfn import (
     CapacityError,
+    DiagonalPoly,
     MultilinearForm,
     NotStructureFunctionError,
     SetFamily,
@@ -23,8 +24,9 @@ from structfn import (
 )
 from structfn.core import (
     _component_patterns,
+    _join_chunks,
     _mask_labels,
-    _minimal_true_bits,
+    _minimal_true_chunks,
     _reverse_bits,
     _set_str,
     _size_patterns,
@@ -261,6 +263,62 @@ class TestMultilinearForm:
     def test_total_is_full_set_value(self):
         form = MultilinearForm.from_terms(BRIDGE_FORM_TERMS, n=5)
         assert form.total() == 1
+
+
+class TestDiagonalPoly:
+    def test_total_is_the_value_at_one(self):
+        diag = DiagonalPoly(n=5, d=(0, 2, 2, -5, 2))  # the bridge's diagonal
+        assert diag.total() == 1 == diag.evaluate(1)
+
+
+class TestConstructorMessages:
+    """Each public constructor and mask check rejects bad input with its own message."""
+
+    CASES = {
+        "table_too_wide": (
+            lambda: TruthTable(n=2, bits=16),
+            ValueError,
+            "table for n=2 must fit in 4 entries",
+        ),
+        "form_key_out_of_range": (
+            lambda: MultilinearForm(n=2, coeffs={4: 1}),
+            ValueError,
+            "coefficient key 4 out of range for 2 components",
+        ),
+        "family_member_not_a_mask": (
+            lambda: SetFamily(n=2, members=(1,)),
+            TypeError,
+            "family members must be SubsetMask, got int",
+        ),
+        "family_member_over_other_n": (
+            lambda: SetFamily(n=2, members=(SubsetMask(bits=0b101, n=3),)),
+            ValueError,
+            "member {1,3} is over 3 components, expected 2",
+        ),
+        "diagonal_length": (
+            lambda: DiagonalPoly(n=3, d=(1, 0)),
+            ValueError,
+            "expected 3 coefficients, got 2",
+        ),
+        "phi_of_a_mask_over_other_n": (
+            lambda: TruthTable.from_values("0111").phi(SubsetMask(bits=1, n=3)),
+            ValueError,
+            "subset is over 3 components, expected 2",
+        ),
+        "coefficient_of_a_mask_over_other_n": (
+            lambda: MultilinearForm(n=3, coeffs={1: 1}).coefficient(SubsetMask(bits=1, n=2)),
+            ValueError,
+            "subset is over 2 components, expected 3",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_message(self, case):
+        build, error, message = self.CASES[case]
+        with pytest.raises(error) as excinfo:
+            build()
+        assert type(excinfo.value) is error
+        assert str(excinfo.value) == message
 
 
 def downward_violations(table):
@@ -566,7 +624,7 @@ class TestChunkEdges:
         for name, values in flipped_up_sets(n):
             table = values_table(values, n)
             expected = values_table(reference_minimal(values, n), n)
-            assert _minimal_true_bits(table.bits, n) == expected.bits, name
+            assert _join_chunks(_minimal_true_chunks(table.bits, n), n) == expected.bits, name
 
     @pytest.mark.parametrize("n", [15, 16, 17, 18])
     def test_true_count_by_size(self, n):
@@ -606,7 +664,7 @@ class TestChunkEdges:
 
             monkeypatch.setattr(f"structfn.core.{name}", recorded)
         table = table_from_paths(family(LATTICE_N20_PATHS, 20))
-        _minimal_true_bits(table.bits, 20)
+        _minimal_true_chunks(table.bits, 20)
         _true_count_by_size(table)
         assert validate_semicoherent(table).ok
         assert validate_semicoherent(TruthTable(n=20, bits=1)).violations[0] == (

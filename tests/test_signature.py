@@ -215,6 +215,19 @@ class TestSmallCounts:
         # alpha_2 folds the pair-of-singletons cancellation back in: C(2,2) + 0.
         assert small_counts_from_coefficients(2, 0, 0, 1) == (2, 1, 0, 1)
 
+    @pytest.mark.parametrize(
+        "coefficients, message",
+        [
+            ((-1, 0, 0, 0), "d_1 = -1, dual d_1 = 0"),
+            ((2, 0, -3, 1), "d_1 = 2, dual d_1 = -3"),
+        ],
+        ids=["d_1", "dual_d_1"],
+    )
+    def test_rejects_negative_singleton_count(self, coefficients, message):
+        with pytest.raises(InconsistentFormError) as excinfo:
+            small_counts_from_coefficients(*coefficients)
+        assert str(excinfo.value) == f"inconsistent coefficients: {message} must be nonnegative"
+
     def test_rejects_negative_derived_count(self):
         s = SignatureVector(n=3, s=sig(F(2, 3), 0, F(1, 3)))
         with pytest.raises(InconsistentFormError, match=r"alpha_2 = -1"):

@@ -47,7 +47,7 @@ from structfn import (
     table_from_paths,
     zeta_transform,
 )
-from structfn.core import _BYTE_BITS, _iter_bit_positions, _minimal_true_bits
+from structfn.core import _BYTE_BITS, _iter_bit_positions, _join_chunks, _minimal_true_chunks
 from structfn.oracle import (
     enumerate_semicoherent,
     oracle_dual_table,
@@ -211,7 +211,7 @@ class TestMinimalSets:
 
         table = table_from_paths(family(LATTICE_N24_PATHS, 24))
         for system in (table, dualize_table(table)):
-            bits, width = _minimal_true_bits(system.bits, 24), 1 << 24
+            bits, width = _join_chunks(_minimal_true_chunks(system.bits, 24), 24), 1 << 24
             assert _table_bit_positions(bits, width) == numpy_scan(bits, width)
             best = {}
             for _ in range(5):  # interleaved, so a slow phase of the machine hits both
@@ -278,7 +278,7 @@ class TestTableFromFamilies:
     def test_up_closure_inverts_the_minimal_entries(self):
         for n in range(1, 5):
             for table in enumerate_semicoherent(n):
-                minimal = _table_bit_positions(_minimal_true_bits(table.bits, n), 1 << n)
+                minimal = _table_bit_positions(_minimal_true_chunks(table.bits, n)[0], 1 << n)
                 assert table_from_paths(mask_family(minimal, n)) == table
 
     def test_thousands_of_members_at_n24(self):
@@ -291,7 +291,7 @@ class TestTableFromFamilies:
         table = table_from_paths(paths)
         assert time.perf_counter() - start < 2.0
         # Members of one size form an antichain, so they are the minimal entries.
-        assert _table_bit_positions(_minimal_true_bits(table.bits, 24), 1 << 24) == sorted(masks)
+        assert _minimal_paths(table) == paths
 
 
 class TestSimpleFormExpansion:

@@ -415,7 +415,9 @@ class MultilinearForm:
     """Sparse signed-integer coefficients of a multilinear polynomial, keyed by mask.
 
     The polynomial is sum over stored subsets A of coeff(A) * prod_{i in A} x_i.
-    Zero coefficients are dropped on construction.
+    Zero coefficients are dropped on construction. ``coeffs`` is read-only:
+    a form the library returns may be shared, as a family's expanded form is
+    by every later call on that family, so copy it before changing it.
     """
 
     n: int

@@ -113,34 +113,48 @@ def _walk_inclusion_exclusion(masks: Sequence[int], p: Sequence, exact):
     """The subfamily walk that :func:`evaluate_inclusion_exclusion` describes.
 
     ``exact`` is :func:`_common_denominator` of p, or None to carry
-    ``value * p[i]`` instead of integer numerators.
+    ``value * p[i]`` instead of integer numerators. Each call recurses into
+    the branch that skips member ``idx`` and loops on into the branch that
+    takes it, so leaves are summed and components multiplied in, ascending,
+    in the order of the plain two-call recursion.
     """
     order = masks[::-1]  # largest first: small members come late, when unions hold them more often
     # Joining the union, member k can only cover a later member that meets it.
     meets = [[m for m in order[k + 1 :] if m & member] for k, member in enumerate(order)]
     a, d = exact[:2] if exact else (None, None)
     start = 1 if a is None else prod(d[i] for i in _iter_bit_positions(reduce(or_, masks)))
-    total, leaf = 0, len(order)
+    low, mid, high = _BYTE_POSITIONS
+    total, last = 0, len(order) - 1
 
     def walk(idx: int, union: int, size: int, value) -> None:
         nonlocal total
-        if idx == leaf:
-            if size:
-                total += value if size & 1 else -value
-            return
-        walk(idx + 1, union, size, value)
-        new = order[idx] & ~union
-        union |= new
-        for m in meets[idx]:
-            if not m & ~union:
-                return
+        while idx < last:
+            walk(idx + 1, union, size, value)
+            new = order[idx] & ~union
+            union |= new
+            for m in meets[idx]:
+                if not m & ~union:
+                    return
+            if a is None:
+                for i in low[new & 255] + mid[new >> 8 & 255] + high[new >> 16]:
+                    value = value * p[i]
+            else:
+                for i in low[new & 255] + mid[new >> 8 & 255] + high[new >> 16]:
+                    value = value // d[i] * a[i]
+            idx += 1
+            size += 1
+        # The last member: the leaf without it, then the leaf with it, which no
+        # later member can cancel.
+        if size:
+            total += value if size & 1 else -value
+        new = order[last] & ~union
         if a is None:
-            for i in _iter_bit_positions(new):
+            for i in low[new & 255] + mid[new >> 8 & 255] + high[new >> 16]:
                 value = value * p[i]
         else:
-            for i in _iter_bit_positions(new):
+            for i in low[new & 255] + mid[new >> 8 & 255] + high[new >> 16]:
                 value = value // d[i] * a[i]
-        walk(idx + 1, union, size + 1, value)
+        total += -value if size & 1 else value
 
     walk(0, 0, 0, start)
     return total if a is None else _from_common_denominator(total, start, p, masks)

@@ -37,8 +37,12 @@ from structfn import (
     simple_form_from_paths,
     table_from_paths,
 )
-from structfn.core import _iter_bit_positions
-from structfn.reliability import _common_denominator, _walk_inclusion_exclusion
+from structfn.core import _BYTE_POSITIONS, _iter_bit_positions
+from structfn.reliability import (
+    _common_denominator,
+    _from_common_denominator,
+    _walk_inclusion_exclusion,
+)
 
 HALF = Fraction(1, 2)
 
@@ -65,6 +69,62 @@ def walk_inclusion_exclusion(masks, p):
 
     walk(0, 0, 0)
     return total
+
+
+def recursive_walk(masks, p, exact):
+    """The pruned subfamily walk before it looped down its taken branch: two
+    calls per member, components read by _iter_bit_positions."""
+    order = masks[::-1]
+    meets = [[m for m in order[k + 1 :] if m & member] for k, member in enumerate(order)]
+    a, d = exact[:2] if exact else (None, None)
+    start = 1
+    if a is not None:
+        start = math.prod(d[i] for i in _iter_bit_positions(functools.reduce(int.__or__, masks)))
+    total, leaf = 0, len(order)
+
+    def walk(idx, union, size, value):
+        nonlocal total
+        if idx == leaf:
+            if size:
+                total += value if size & 1 else -value
+            return
+        walk(idx + 1, union, size, value)
+        new = order[idx] & ~union
+        union |= new
+        for m in meets[idx]:
+            if not m & ~union:
+                return
+        if a is None:
+            for i in _iter_bit_positions(new):
+                value = value * p[i]
+        else:
+            for i in _iter_bit_positions(new):
+                value = value // d[i] * a[i]
+        walk(idx + 1, union, size + 1, value)
+
+    walk(0, 0, 0, start)
+    return total if a is None else _from_common_denominator(total, start, p, masks)
+
+
+def counted_position_reads(monkeypatch) -> list:
+    """Count, in one list entry, the reliability module's reads of component
+    positions: each _iter_bit_positions call, and each low-byte lookup in
+    _BYTE_POSITIONS, which the walk makes once per member it takes."""
+    reads = [0]
+
+    def counting(bits):
+        reads[0] += 1
+        return _iter_bit_positions(bits)
+
+    class CountedLow(tuple):
+        def __getitem__(self, byte):
+            reads[0] += 1
+            return tuple.__getitem__(self, byte)
+
+    low, mid, high = _BYTE_POSITIONS
+    monkeypatch.setattr("structfn.reliability._iter_bit_positions", counting)
+    monkeypatch.setattr("structfn.reliability._BYTE_POSITIONS", (CountedLow(low), mid, high))
+    return reads
 
 
 def loop_reliability(form, p):
@@ -394,17 +454,10 @@ class TestReductions:
     def test_reduced_families_are_not_walked(self, name, monkeypatch):
         # The walk without reductions visits 2^24 or 2^23 leaves here, each
         # looping over its union's components.
-        calls = 0
-
-        def counting(bits):
-            nonlocal calls
-            calls += 1
-            return _iter_bit_positions(bits)
-
-        monkeypatch.setattr("structfn.reliability._iter_bit_positions", counting)
+        reads = counted_position_reads(monkeypatch)
         for p in typed_probabilities(random.Random(24), 24)[:3]:
             evaluate_inclusion_exclusion(REDUCIBLE[name], p)
-        assert calls < 1_000
+        assert reads[0] < 1_000
 
 
 class TestExactIntegerRoute:
@@ -528,21 +581,15 @@ class TestExactIntegerRoute:
                 assert type(value) is type(expected) and value == expected, str(fam)
 
     def test_cancelling_subfamilies_are_skipped(self, monkeypatch):
-        # Counted with this patch, the unpruned walk makes 197,520 calls on
-        # these 20 pairs and the pruned walk 1,488: it loops over the new
-        # components only in subfamilies that no later pair cancels.
-        calls = 0
-
-        def counting(bits):
-            nonlocal calls
-            calls += 1
-            return _iter_bit_positions(bits)
-
-        monkeypatch.setattr("structfn.reliability._iter_bit_positions", counting)
+        # Counted with this patch, a walk that skipped nothing would read
+        # positions 1,048,577 times on these 20 pairs (once per member taken,
+        # 2^20 - 1 takes, and twice outside the walk), and the pruned walk
+        # reads them 1,489 times: only in subfamilies no later pair cancels.
+        reads = counted_position_reads(monkeypatch)
         paths = self.pairs_family(20, 28)
         p = [Fraction(k, 11) for k in range(1, 9)]
         value = evaluate_inclusion_exclusion(paths, p)
-        assert calls < 10_000
+        assert reads[0] < 10_000
         assert value == loop_reliability(simple_form_from_paths(paths), p)
 
     def test_a_family_of_r_max_members(self):
@@ -593,6 +640,66 @@ class TestExactIntegerRoute:
         run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert run.stdout == "False\n"
+
+
+class TestFlatWalk:
+    """The walk loops down the branch that takes each member and reads
+    positions from the per-byte tables; leaves and factors keep the order of
+    the two-call recursion, so every result is the same object value."""
+
+    @staticmethod
+    def assert_same_walk(masks, p):
+        value = _walk_inclusion_exclusion(masks, p, _common_denominator(p))
+        expected = recursive_walk(masks, p, _common_denominator(p))
+        assert type(value) is type(expected), (masks, p)
+        assert repr(value) == repr(expected), (masks, p)
+
+    @staticmethod
+    def rows(rng, n):
+        """Float, Fraction, int, bool and np.int64 p, an int and Fraction
+        mixture, and exact p with 0, 1 and huge denominators."""
+        mixed = [rng.choice((0, 1, Fraction(rng.randint(1, 12), 13))) for _ in range(n)]
+        return typed_probabilities(rng, n) + [mixed, exact_probabilities(rng, n)]
+
+    def test_matches_the_recursive_walk_on_seeded_families(self):
+        rng = random.Random(20261021)
+        for _ in range(40):
+            n = rng.randint(4, 12)
+            masks = list(greedy_antichain(rng, n, rng.randint(1, 12), 1, max(1, n // 2)).masks())
+            for p in self.rows(rng, n):
+                self.assert_same_walk(masks, p)
+                rng.shuffle(masks)
+                self.assert_same_walk(masks, p)
+
+    @pytest.mark.parametrize(
+        ("masks", "n"),
+        [
+            ([0b0110], 4),
+            ([0b1111], 4),
+            ([0b0011, 0b0110], 4),
+            ([0b0011, 0b1100], 4),
+            ([0b0001, 0b0011], 4),
+            ([0b0011, 0b0001], 4),
+            ([1 << i | 1 << (i + 1) % 12 for i in range(12)], 12),
+            ([1 << i | 1 << (9 + i % 3) | 1 << (9 + (i + 1) % 3) for i in range(9)], 12),
+        ],
+        ids=["one", "full", "overlapping", "disjoint", "nested", "nested_reversed", "ring12", "hub9"],
+    )
+    def test_matches_the_recursive_walk_on_small_groups_rings_and_hubs(self, masks, n):
+        rng = random.Random(len(masks))
+        for p in self.rows(rng, n):
+            self.assert_same_walk(masks, p)
+
+    def test_reductions_hand_the_same_groups_to_either_walk(self, monkeypatch):
+        rng = random.Random(19740101)
+        families = [bridge_copies(2), family(BRIDGE_PATHS + ((6,),), 6)]
+        families += [greedy_antichain(rng, 10, rng.randint(2, 10), 1, 4) for _ in range(10)]
+        cases = [(paths, p) for paths in families for p in self.rows(rng, paths.n)]
+        values = [evaluate_inclusion_exclusion(paths, p) for paths, p in cases]
+        monkeypatch.setattr("structfn.reliability._walk_inclusion_exclusion", recursive_walk)
+        for (paths, p), value in zip(cases, values):
+            expected = evaluate_inclusion_exclusion(paths, p)
+            assert type(value) is type(expected) and repr(value) == repr(expected), str(paths)
 
 
 class TestDiagonalCoefficients:

@@ -17,6 +17,7 @@ from conftest import (
     coproduct_table,
     cut_product_table,
     family,
+    greedy_antichain,
     kernel_families,
     parallel_paths,
     series_paths,
@@ -32,6 +33,7 @@ from structfn import (
     SubsetMask,
     TruthTable,
     cuts_from_paths,
+    diagonal_coefficients,
     diagonal_from_paths,
     dual_simple_form_from_cuts,
     dualize_table,
@@ -41,6 +43,7 @@ from structfn import (
     minimal_path_sets,
     mobius_transform,
     paths_from_simple_form,
+    signature_from_diagonal,
     signature_from_paths,
     simple_form_from_paths,
     table_from_cuts,
@@ -104,6 +107,27 @@ def walk_formation_signs(masks):
 
     walk(0, 0, 0)
     return acc
+
+
+def carrying_formation_signs(masks):
+    """The union-closure kernel before it dropped cancelled counts: members in
+    the given order, every count carried to the last step and filtered there."""
+    acc = {}
+    for m in masks:
+        for u, c in list(acc.items()):
+            acc[u | m] = acc.get(u | m, 0) - c
+        acc[m] = acc.get(m, 0) + 1
+    return {u: c for u, c in acc.items() if c}
+
+
+def ring_paths(r: int) -> SetFamily:
+    """The r pairs {i, i+1 mod r} on r components: every component in two members."""
+    return family([(i, i % r + 1) for i in range(1, r + 1)], r)
+
+
+def star_paths(r: int) -> SetFamily:
+    """The r pairs {1, i} for i = 2..r+1: component 1 in every member."""
+    return family([(1, i) for i in range(2, r + 2)], r + 1)
 
 
 def mask_family(masks, n: int) -> SetFamily:
@@ -385,6 +409,151 @@ class TestUnionClosureKernel:
         walk = walk_formation_signs(paths.masks())
         for union, count in walk.items():
             assert formation_balance(paths, union) == count
+
+
+class TestCancellingKernel:
+    """The kernel drops counts that cancel and adds members largest first; it
+    must return exactly the dict the carrying kernel returned."""
+
+    def test_matches_the_carrying_kernel_on_seeded_antichains(self):
+        for fam in kernel_families():
+            assert _formation_signs(fam.masks()) == carrying_formation_signs(fam.masks()), str(fam)
+
+    def test_matches_the_carrying_kernel_on_nested_and_repeated_members(self):
+        # Redundant supersets, as in a family no public function has minimized.
+        rng = random.Random(20261021)
+        for _ in range(60):
+            n = rng.randint(3, 10)
+            masks = list(greedy_antichain(rng, n, rng.randint(1, 8), 1, max(1, n // 2)).masks())
+            for m in list(masks):
+                masks.append(m | 1 << rng.randrange(n))  # m itself when the bit is in m
+                masks.append(m | rng.choice(masks))
+            masks = list(dict.fromkeys(masks))
+            rng.shuffle(masks)
+            expected = carrying_formation_signs(masks)
+            assert _formation_signs(masks) == expected, masks
+            assert expected == {u: c for u, c in walk_formation_signs(masks).items() if c}
+            assert expected == _formation_signs(mask_family(masks, n).minimized().masks())
+            repeated = masks + masks[: rng.randint(1, 3)]
+            assert _formation_signs(repeated) == carrying_formation_signs(repeated), repeated
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 5, 8, 12, 14])
+    def test_matches_the_carrying_kernel_on_rings_stars_and_parallels(self, size):
+        families = [star_paths(size), parallel_paths(size), series_paths(size)]
+        for fam in families + ([ring_paths(size)] if size >= 3 else []):
+            masks = fam.masks()
+            assert _formation_signs(masks) == carrying_formation_signs(masks), str(fam)
+            assert _formation_signs(masks[::-1]) == carrying_formation_signs(masks), str(fam)
+
+    def test_cancelled_unions_are_not_returned(self):
+        # {1,2}, {3,4} and all three pairs form {1,2,3,4}: its count cancels.
+        signs = _formation_signs(family(ADJACENT_PAIRS, ADJACENT_PAIRS_N).masks())
+        assert signs == {0b0011: 1, 0b0110: 1, 0b1100: 1, 0b0111: -1, 0b1110: -1}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_odd_minus_even_formations_on_every_antichain(self, n):
+        from structfn.oracle import _formation_census
+
+        checked = 0
+        for table in enumerate_semicoherent(n):
+            paths = minimal_path_sets(table)
+            census = _formation_census(paths)
+            expected = {u: odd - even for u, (odd, even) in census.items() if odd != even}
+            assert _formation_signs(paths.masks()) == expected, str(paths)
+            assert _formation_signs(paths.masks()[::-1]) == expected, str(paths)
+            checked += 1
+        assert checked == {1: 1, 2: 4, 3: 18, 4: 166}[n]
+
+
+class TestKeptForm:
+    """A family keeps the form the kernel built for it, and every family
+    expansion within the caps reads it instead of running the kernel again."""
+
+    @staticmethod
+    def counted_kernel(monkeypatch) -> list:
+        import structfn.transform
+
+        calls = []
+        kernel = structfn.transform._formation_signs
+
+        def counted(masks):
+            calls.append(tuple(masks))
+            return kernel(masks)
+
+        monkeypatch.setattr("structfn.transform._formation_signs", counted)
+        return calls
+
+    def test_form_diagonal_and_signature_share_one_kernel_run(self, monkeypatch):
+        calls = self.counted_kernel(monkeypatch)
+        paths = family(LATTICE_N20_PATHS, 20)
+        form = simple_form_from_paths(paths)
+        diagonal = diagonal_from_paths(paths)
+        signature = signature_from_paths(paths)
+        assert simple_form_from_paths(paths) is form
+        assert dual_simple_form_from_cuts(paths) is form
+        assert len(calls) == 1
+        expected = mobius_transform(table_from_paths(paths))
+        assert form == expected
+        assert diagonal == diagonal_coefficients(expected)
+        assert signature == signature_from_diagonal(diagonal)
+
+    def test_equal_families_each_run_the_kernel(self, monkeypatch):
+        from structfn.cli import parse_document
+
+        calls = self.counted_kernel(monkeypatch)
+        text = '{"n": 5, "paths": [[1, 4], [2, 5], [1, 3, 5], [2, 3, 4]]}'
+        first, second = parse_document(text).paths, parse_document(text).paths
+        assert first == second and first is not second
+        assert simple_form_from_paths(first) == simple_form_from_paths(second)
+        assert len(calls) == 2
+
+    def test_formation_balance_never_reads_the_kept_form(self, monkeypatch):
+        calls = self.counted_kernel(monkeypatch)
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        form = simple_form_from_paths(paths)
+        full = (1 << BRIDGE_N) - 1
+        assert [formation_balance(paths, full) for _ in range(3)] == [form.coefficient(full)] * 3
+        assert calls == [paths.masks()] + [paths.masks()] * 3
+        # A target holding some members runs the kernel on those members only.
+        assert formation_balance(paths, 0b01001) == 1
+        assert calls[-1] == (0b01001,)
+
+    def test_caps_are_checked_before_the_kept_form(self, monkeypatch):
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        with pytest.raises(CapacityError) as fresh:
+            simple_form_from_paths(family(BRIDGE_PATHS, BRIDGE_N), max_r=0, max_n=1)
+        form = simple_form_from_paths(paths)
+        for call in (simple_form_from_paths, diagonal_from_paths, signature_from_paths):
+            with pytest.raises(CapacityError) as kept:
+                call(paths, max_r=0, max_n=1)
+            assert str(kept.value) == str(fresh.value)
+        calls = self.counted_kernel(monkeypatch)
+        dense = simple_form_from_paths(paths, max_r=0)
+        assert dense == form and dense is not form
+        assert simple_form_from_paths(paths, max_r=0) is not dense  # the fallback is not kept
+        assert simple_form_from_paths(paths) is form
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "call", [simple_form_from_paths, diagonal_from_paths, signature_from_paths]
+    )
+    def test_non_minimal_input_warns_on_every_call(self, call):
+        redundant = family([(1,), (1, 2), (2, 3)], 3)
+        results = []
+        for _ in range(3):
+            with pytest.warns(NonMinimalFamilyWarning):
+                results.append(call(redundant))
+        assert results[0] == results[1] == results[2] == call(family([(1,), (2, 3)], 3))
+
+    def test_the_cli_form_is_the_kernel_form(self, monkeypatch):
+        from structfn.cli import Options, _Analysis, parse_document
+
+        calls = self.counted_kernel(monkeypatch)
+        system = parse_document('{"n": 5, "paths": [[1, 4], [2, 5], [1, 3, 5], [2, 3, 4]]}')
+        a = _Analysis.of(system, Options())
+        assert a.form is simple_form_from_paths(a.paths)
+        assert diagonal_from_paths(a.paths) == a.diagonal
+        assert len(calls) == 1
 
 
 def assert_canonical(form: MultilinearForm) -> None:

@@ -458,10 +458,10 @@ def _run_reliability(system: SystemDoc, options: Options) -> Report:
 
 def _formations_match(paths: SetFamily, form: MultilinearForm) -> bool:
     """Odd minus even formations, the formation balance and the coefficient agree
-    on every term of the form, union of paths and subset of at most two components."""
+    on every term of the form and every union of paths. Outside those two sets
+    all three counts are 0 by definition, so no other subset is checked."""
     census = oracle._formation_census(paths)  # keyed by the union closure of the paths
-    small = {m for m in range(1 << form.n) if m.bit_count() <= 2}
-    for mask in sorted(set(form.coeffs) | census.keys() | small):
+    for mask in sorted(set(form.coeffs) | census.keys()):
         odd, even = census.get(mask, (0, 0))
         if not odd - even == formation_balance(paths, mask) == form.coefficient(mask):
             return False

@@ -8,21 +8,24 @@ multilinear "simple form" maps subset masks to signed integer coefficients;
 the zeta transform (sum over contained subsets) turns coefficients back into
 values and the Mobius transform is its exact inverse.
 
-Zeta and Mobius are one in-place lattice pass with opposite signs, run on
-numpy arrays whose dtype a written magnitude bound proves exact. Mobius reads
-the table as 16-bit words and looks up each word's first four passes, then
-widens as its partial sums grow: after k passes over 0/1 input they lie
-within +-2^(k-1), so int8 holds them through k = 7, int16 through 15 and
-int32 up to n = 24. Zeta runs in int64 while the input magnitudes sum below
-2^62, and in Python integers in an object-dtype array otherwise, which only
-forms that are about to be rejected ever reach.
+Mobius first walks the DAG of the table's distinct subtables, so a sparse
+form costs about its own size, and gives up past a fixed work budget. Past
+it, and for zeta, the transform is one in-place lattice pass with opposite
+signs, run on numpy arrays whose dtype a written magnitude bound proves
+exact. Mobius reads the table as 16-bit words and looks up each word's first
+four passes, then widens as its partial sums grow: after k passes over 0/1
+input they lie within +-2^(k-1), so int8 holds them through k = 7, int16
+through 15 and int32 up to n = 24. Zeta runs in int64 while the input
+magnitudes sum below 2^62, and in Python integers in an object-dtype array
+otherwise, which only forms that are about to be rejected ever reach.
 
 Table passes without numpy (up-closure, minimal entries, validation, counts
 by size) run on chunks of 2^16 entries, so their masks are 8 KiB whatever n.
 
-numpy is imported on the first dense pass, Mobius or zeta, and otherwise not
-at all. Within the expansion cap, family routes, signatures, small counts and
-reliability run on Python numbers alone and never load numpy.
+numpy is imported on the first dense pass, a zeta or a Mobius whose walk
+passed its budget, and otherwise not at all. Family routes within the
+expansion cap, signatures, small counts and reliability run on Python
+numbers alone, as does every Mobius of at most 14 components.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
     "N_MAX",
@@ -522,15 +525,22 @@ class SetFamily:
         return self.minimized() is self
 
     def minimized(self) -> "SetFamily":
-        """The family with supersets dropped: ``self`` when no member contains another."""
-        keep: list[int] = []
-        for m in self._masks:  # sorted by size, so a kept subset comes first
-            outside = ~m
-            if not any(k & outside == 0 for k in keep):
-                keep.append(m)
-        if len(keep) == self.r:
-            return self
-        return SetFamily._trusted(self.n, tuple(keep))
+        """The family with supersets dropped: ``self`` when no member contains another.
+
+        The pairwise scan runs once: the result is kept beside the cached
+        ``members`` (None standing for ``self``), and is known to be minimal.
+        """
+        if "_minimal" not in self.__dict__:
+            keep: list[int] = []
+            for m in self._masks:  # sorted by size, so a kept subset comes first
+                outside = ~m
+                if not any(k & outside == 0 for k in keep):
+                    keep.append(m)
+            minimal = SetFamily._trusted(self.n, tuple(keep)) if len(keep) < self.r else None
+            if minimal is not None:
+                minimal.__dict__["_minimal"] = None
+            self.__dict__["_minimal"] = minimal
+        return self.__dict__["_minimal"] or self
 
     def size_census(self) -> tuple[int, ...]:
         """Entry k-1 counts the members of size k, for k = 1..n."""
@@ -676,19 +686,109 @@ def zeta_transform(form: MultilinearForm, *, max_n: "int | None" = None) -> Trut
     return TruthTable(n=form.n, bits=_pack_values(arr))
 
 
-def mobius_transform(table: TruthTable, *, max_n: "int | None" = None) -> MultilinearForm:
-    """Coefficients of the unique multilinear polynomial matching the table.
+def _subtable_fold(bits: int, n: int, leaves: tuple, combine: Callable) -> object:
+    """Fold an n-component table over the DAG of its distinct subtables.
 
-    coeff(A) = sum over B inside A of (-1)^(|A| - |B|) * value(B).
+    A table over components 1..k splits on component k into halves lo
+    (component k absent) and hi. The constant v (k = 0) folds to
+    ``leaves[v]``, a table with equal halves to its lo's value (the level is
+    skipped), and any other to ``combine(k - 1, lo value, hi value)``. Each
+    distinct subtable is folded once. ``combine`` returns None to abandon the
+    fold, which then returns None; no other value may be None. Subtables of
+    16 entries or more are bytes slices, which compare by memcmp and keep
+    their hash, and smaller ones are ints.
     """
+    memo: list[dict] = [{} for _ in range(n + 1)]  # memo[k]: subtables over k components
+
+    def fold(t, k: int):
+        if k == 0:
+            return leaves[t]
+        seen = memo[k]
+        value = seen.get(t)
+        if value is not None:
+            return value
+        if k > 4:
+            half = len(t) >> 1
+            lo, hi = t[:half], t[half:]
+        elif k == 4:
+            lo, hi = t  # its two bytes, as ints
+        else:
+            width = 1 << (k - 1)
+            lo, hi = t & ((1 << width) - 1), t >> width
+        value = fold(lo, k - 1)
+        if lo != hi and value is not None:
+            high = fold(hi, k - 1)
+            value = None if high is None else combine(k - 1, value, high)
+        if value is not None:
+            seen[t] = value
+        return value
+
+    try:
+        return fold(bits.to_bytes(1 << (n - 3), "little") if n >= 4 else bits, n)
+    finally:
+        memo.clear()  # fold refers to itself, so only the cycle collector would free it
+
+
+def _subtable_mobius(bits: int, n: int, budget: int) -> "tuple[dict[int, int] | None, int]":
+    """Mobius coefficients of an n-component table, from its distinct subtables.
+
+    With phi0 and phi1 the halves of a table without and with component i,
+    coeffs(phi) = coeffs(phi0) plus, for each A, coeff(A + i) =
+    coeffs(phi1)(A) - coeffs(phi0)(A); a difference that cancels is never
+    stored. The work is the number of dict entries merged, |coeffs(phi0)| +
+    |coeffs(phi1)| per combined subtable, at most n * 2^n. Returns the
+    coefficients in ascending mask order and the work, or None and the work
+    so far once a merge would take the work past ``budget``.
+    """
+    work = 0
+
+    def combine(i: int, c0: dict, c1: dict) -> "dict | None":
+        nonlocal work
+        work += len(c0) + len(c1)
+        if work > budget:
+            return None
+        bit = 1 << i
+        if not c0:
+            return {a | bit: v for a, v in c1.items()}
+        get = c0.get
+        out = c0.copy()
+        out.update({a | bit: d for a, v in c1.items() if (d := v - get(a, 0))})
+        if not c0.keys() <= c1.keys():
+            out.update({a | bit: -v for a, v in c0.items() if a not in c1})
+        return out
+
+    coeffs = _subtable_fold(bits, n, ({}, {0: 1}), combine)
+    if coeffs is None:
+        return None, work
+    return {a: coeffs[a] for a in sorted(coeffs)}, work
+
+
+def _mobius_budget(n: int) -> int:
+    """The work budget of :func:`_subtable_mobius` within :func:`mobius_transform`;
+    past it, the dense passes answer.
+
+    The walk merges about 5 M entries a second, so the floor of 2^18 entries
+    costs about what importing numpy costs a fresh process (0.06-0.1 s), and
+    2^(n-5) = 2^19 at n = 24 about half the dense passes there (0.13-0.17 s).
+    That bounds the work a tripped budget throws away: the walk took
+    0.05-0.11 s on the ring 24, hub 21, 12-of-24 dual and random 3000 tables
+    before it gave up. No table with n <= 14 trips it, since the work is at
+    most n * 2^n. Over 300 relabelings of each ``LATTICE_BASE`` shape of
+    perfbench/gen.py, the dual tables' work peaked at 136,288 (n = 20),
+    228,200 (n = 22) and 256,896 (n = 24). (2-core Xeon VM, Python 3.11.7.)
+    """
+    return max(1 << 18, (1 << n) >> 5)
+
+
+def _dense_mobius(bits: int, n: int) -> dict[int, int]:
+    """Mobius coefficients of an n-component table, in ascending mask order,
+    from dense numpy passes over all 2^n entries."""
     import numpy as np
 
-    _check_max_n(table.n, max_n)
-    n = table.n
     # One little-endian 16-bit word per 16 entries, a table below n = 4
     # zero-padded to one word; its lookup row has the passes over components
     # 1..4 done. Padding adds supersets only, so the first 2^n entries hold.
-    raw = table.bits.to_bytes(max(2, (1 << n) >> 3), "little")
+    raw = bits.to_bytes(max(2, (1 << n) >> 3), "little")
     arr = _mobius_words().take(np.frombuffer(raw, dtype="<u2"), axis=0).reshape(-1)[: 1 << n]
     # After the passes over k components each entry is an alternating sum of
     # 2^k values 0 or 1, half of them subtracted, so it lies within +-2^(k-1):
@@ -701,4 +801,17 @@ def mobius_transform(table: TruthTable, *, max_n: "int | None" = None) -> Multil
             _lattice_pass(arr, range(done, min(stop, n)), -1)
             done = stop
     nonzero = np.flatnonzero(arr != 0)  # ascending; a bool array scans faster than int32
-    return MultilinearForm._trusted(n, dict(zip(nonzero.tolist(), arr[nonzero].tolist())))
+    return dict(zip(nonzero.tolist(), arr[nonzero].tolist()))
+
+
+def mobius_transform(table: TruthTable, *, max_n: "int | None" = None) -> MultilinearForm:
+    """Coefficients of the unique multilinear polynomial matching the table.
+
+    coeff(A) = sum over B inside A of (-1)^(|A| - |B|) * value(B).
+    """
+    _check_max_n(table.n, max_n)
+    n = table.n
+    coeffs, _ = _subtable_mobius(table.bits, n, _mobius_budget(n))
+    if coeffs is None:
+        coeffs = _dense_mobius(table.bits, n)
+    return MultilinearForm._trusted(n, coeffs)

@@ -229,14 +229,19 @@ def evaluate_inclusion_exclusion(
 def diagonal_coefficients(form: MultilinearForm) -> DiagonalPoly:
     """Collapse the simple form to the diagonal: d_k sums coeff(A) over |A| = k.
 
-    The form must have no constant term (no semicoherent system does).
+    The form must have no constant term (no semicoherent system does). The
+    diagonal is kept on the form, whose coefficients are read-only, so a form
+    shared by several calls, as a family's expanded form is, collapses once.
     """
-    if form.coefficient(0) != 0:
-        raise ValueError(f"constant term {form.coefficient(0)} present; diagonal has none")
-    d = [0] * form.n
-    for mask, coeff in form.coeffs.items():
-        d[mask.bit_count() - 1] += coeff
-    return DiagonalPoly(n=form.n, d=tuple(d))
+    diagonal = form.__dict__.get("_diagonal")
+    if diagonal is None:
+        if form.coefficient(0) != 0:
+            raise ValueError(f"constant term {form.coefficient(0)} present; diagonal has none")
+        d = [0] * form.n
+        for mask, coeff in form.coeffs.items():
+            d[mask.bit_count() - 1] += coeff
+        diagonal = form.__dict__["_diagonal"] = DiagonalPoly(n=form.n, d=tuple(d))
+    return diagonal
 
 
 def diagonal_from_paths(

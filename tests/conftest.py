@@ -100,6 +100,12 @@ LATTICE_N20_PATHS = (
     (1, 13, 16), (3, 7, 8, 11),
 )
 
+# The n = 22 shape of the lattice benchmark; its dual has 204 minimal paths.
+LATTICE_N22_PATHS = (
+    (5, 18, 19), (16, 19, 20, 21), (1, 16, 20), (7, 8, 16, 18), (5, 13, 16, 18, 21),
+    (5, 17, 21), (1, 3, 6, 22), (1, 2, 9, 10, 16), (5, 13, 14, 15, 19), (2, 4, 5, 16),
+)
+
 # The n = 24 shape of the lattice benchmark; its dual has 336 minimal paths.
 LATTICE_N24_PATHS = (
     (5, 18, 19), (16, 19, 20, 21), (1, 16, 20), (7, 8, 18, 23), (13, 16, 18, 21),

@@ -41,7 +41,7 @@ from structfn import (
     table_from_cuts,
     table_from_paths,
 )
-from structfn.core import _mask_labels, _subset_sort_key
+from structfn.core import _mask_labels, _mobius_budget, _subset_sort_key, _subtable_mobius
 from structfn.cli import (
     COMMANDS,
     EXIT_CAPACITY,
@@ -855,6 +855,9 @@ SCOPE_DOCS = {
     },
     "lattice_n20": {"n": 20, "paths": [list(p) for p in LATTICE_N20_PATHS]},
     "lattice_n24": {"n": 24, "paths": [list(p) for p in LATTICE_N24_PATHS]},
+    # The 2-out-of-17 system: 136 minimal paths, so its form is the table's
+    # Mobius transform, 131,054 terms whose subtable walk passes its budget.
+    "two_of_17": {"n": 17, "table": "".join("01"[m.bit_count() >= 2] for m in range(1 << 17))},
 }
 
 # SHA-256 of the stdout of every command in both formats, recorded before the
@@ -1122,11 +1125,13 @@ NUMPY_FREE_RUNS = {
         for command in ("paths", "cuts", "signature", "counts")
         for fmt in _FORMATS
     },
-}
-# Positive controls: the dense Möbius pass of the lattice dual form, and verify's
-# Möbius and zeta checks.
-NUMPY_RUNS = {
+    # The dual form's Möbius transform is the subtable walk, within its budget.
     "lattice_n20-analyze-text": ("lattice_n20", ["analyze"]),
+}
+# Positive controls: the dense Möbius passes behind a tripped walk budget, and
+# verify's zeta check.
+NUMPY_RUNS = {
+    "two_of_17-signature-text": ("two_of_17", ["signature"]),
     "bridge-verify-text": ("bridge", ["verify"]),
 }
 
@@ -1154,6 +1159,17 @@ class TestNumpyScope:
     @pytest.mark.parametrize("run", list(NUMPY_RUNS.values()), ids=list(NUMPY_RUNS))
     def test_dense_passes_load_numpy(self, tmp_path, run):
         assert loads_numpy(tmp_path, run)
+
+    @pytest.mark.parametrize("doc_name, trips", [("two_of_17", True), ("lattice_n20", False)])
+    def test_walk_budget_picks_the_route(self, doc_name, trips):
+        doc = SCOPE_DOCS[doc_name]
+        if "table" in doc:
+            table = parse_document(json.dumps(doc)).table
+        else:  # analyze's dual form is the one transformed
+            table = dualize_table(table_from_paths(parse_document(json.dumps(doc)).paths))
+        coeffs, work = _subtable_mobius(table.bits, table.n, _mobius_budget(table.n))
+        assert (coeffs is None) == trips
+        assert (work > _mobius_budget(table.n)) == trips
 
 
 def dict_form_json(form: MultilinearForm) -> list[dict]:

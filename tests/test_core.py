@@ -7,7 +7,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import BRIDGE_N, BRIDGE_PATHS, LATTICE_N20_PATHS, coproduct_table, family
+from conftest import (
+    BRIDGE_N,
+    BRIDGE_PATHS,
+    LATTICE_N20_PATHS,
+    LATTICE_N22_PATHS,
+    coproduct_table,
+    family,
+)
 
 from structfn import (
     CapacityError,
@@ -17,6 +24,7 @@ from structfn import (
     SetFamily,
     SubsetMask,
     TruthTable,
+    dualize_table,
     mobius_transform,
     table_from_paths,
     validate_semicoherent,
@@ -24,16 +32,19 @@ from structfn import (
 )
 from structfn.core import (
     _component_patterns,
+    _dense_mobius,
     _join_chunks,
     _mask_labels,
     _minimal_true_chunks,
+    _mobius_budget,
     _reverse_bits,
     _set_str,
     _size_patterns,
     _subset_sort_key,
+    _subtable_mobius,
     _true_count_by_size,
 )
-from structfn.oracle import enumerate_semicoherent
+from structfn.oracle import enumerate_semicoherent, oracle_simple_form
 
 # The bridge simple form: +1 on each minimal path set, -1 on the five
 # four-element subsets, +2 on the full set.
@@ -506,15 +517,19 @@ def parity_table(n, odd):
 
 
 class TestMobiusWidths:
-    """The pass runs in int8 through 7 components, int16 through 15 and int32
-    after that; every stage must agree with a plain int64 pass."""
+    """The dense pass runs in int8 through 7 components, int16 through 15 and
+    int32 after that; every stage must agree with a plain int64 pass. The
+    dense helper is called directly, since the subtable walk answers first
+    within its budget."""
 
     @pytest.mark.parametrize("n", range(1, 19))
     def test_random_tables_match_the_int64_pass(self, n):
         rng = random.Random(4000 + n)
         for _ in range(3 if n <= 16 else 1):
             table = TruthTable(n=n, bits=rng.getrandbits(1 << n))
-            assert mobius_transform(table).coeffs == reference_mobius(table)
+            coeffs = _dense_mobius(table.bits, n)
+            assert coeffs == reference_mobius(table)
+            assert list(coeffs) == sorted(coeffs)
 
     @pytest.mark.parametrize("n", [7, 8, 15, 16])
     @pytest.mark.parametrize("odd", [True, False], ids=["odd", "even"])
@@ -524,10 +539,85 @@ class TestMobiusWidths:
         # and -64 in int8 at n = 7, +-128 past it at n = 8, +-2^14 in int16
         # at n = 15 and +-2^15 past it at n = 16.
         table = parity_table(n, odd)
-        form = mobius_transform(table)
+        coeffs = _dense_mobius(table.bits, n)
         top = 1 << (n - 1)
-        assert form.coeffs[(1 << n) - 1] == (top if (n % 2) == odd else -top)
-        assert form.coeffs == reference_mobius(table)
+        assert coeffs[(1 << n) - 1] == (top if (n % 2) == odd else -top)
+        assert coeffs == reference_mobius(table)
+
+
+class TestSubtableMobius:
+    """The subtable walk against the dense passes and the oracle: equal
+    coefficients in ascending mask order, within the work bound n * 2^n."""
+
+    def assert_routes_agree(self, table, oracle=True):
+        walked, work = _subtable_mobius(table.bits, table.n, 1 << 62)
+        dense = _dense_mobius(table.bits, table.n)
+        assert walked == dense
+        assert list(walked) == sorted(walked)
+        assert work <= table.n << table.n
+        if oracle:
+            assert walked == oracle_simple_form(table).coeffs
+        return work
+
+    def test_every_table_up_to_three_components(self):
+        for n in range(1, 4):
+            for bits in range(1 << (1 << n)):
+                self.assert_routes_agree(TruthTable(n=n, bits=bits))
+
+    def test_every_monotone_table_of_four_components(self):
+        tables = [TruthTable(4, 0), TruthTable(4, (1 << 16) - 1), *enumerate_semicoherent(4)]
+        assert len(tables) == 168  # the Dedekind number M(4)
+        for table in tables:
+            self.assert_routes_agree(table)
+
+    @pytest.mark.parametrize("n", range(4, 13))
+    def test_seeded_random_tables(self, n):
+        rng = random.Random(3900 + n)
+        for _ in range(6):
+            self.assert_routes_agree(TruthTable(n, rng.getrandbits(1 << n)), oracle=n <= 8)
+            paths = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(rng.randint(1, 12))]
+            monotone = table_from_paths(SetFamily._trusted(n, tuple(set(paths))))
+            self.assert_routes_agree(monotone, oracle=n <= 8)
+
+    @pytest.mark.parametrize("n, paths", [(20, LATTICE_N20_PATHS), (22, LATTICE_N22_PATHS)])
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    def test_lattice_shapes_stay_within_the_budget(self, n, paths, dual):
+        table = table_from_paths(family(paths, n))
+        table = dualize_table(table) if dual else table
+        assert self.assert_routes_agree(table, oracle=False) <= _mobius_budget(n)
+        form = mobius_transform(table)
+        assert form.coeffs == _dense_mobius(table.bits, n)
+        assert list(form.coeffs) == sorted(form.coeffs)
+
+    def test_budget_boundary(self, monkeypatch):
+        import structfn.core
+
+        table = dualize_table(table_from_paths(family(LATTICE_N20_PATHS, 20)))
+        dense = _dense_mobius(table.bits, 20)
+        _, needed = _subtable_mobius(table.bits, 20, 1 << 62)
+        assert _subtable_mobius(table.bits, 20, needed) == (dense, needed)
+        assert _subtable_mobius(table.bits, 20, needed - 1)[0] is None
+        routes = []
+        dense_route = structfn.core._dense_mobius
+
+        def recorded(bits, n):
+            routes.append(n)
+            return dense_route(bits, n)
+
+        monkeypatch.setattr(structfn.core, "_dense_mobius", recorded)
+        forms = []
+        for budget in (needed, needed - 1):
+            monkeypatch.setattr(structfn.core, "_mobius_budget", lambda n, b=budget: b)
+            forms.append(mobius_transform(table))
+        assert routes == [20]  # only the tripped budget ran the dense passes
+        assert forms[0] == forms[1] and forms[0].coeffs == dense
+        assert list(forms[0].coeffs) == list(forms[1].coeffs) == sorted(dense)
+
+    def test_small_tables_never_reach_the_budget(self):
+        # The walk's work is at most n * 2^n, within the floor through n = 14.
+        assert all(n << n <= _mobius_budget(n) for n in range(1, 15))
+        assert 15 << 15 > _mobius_budget(15)
+        assert _mobius_budget(23) == 1 << 18 and _mobius_budget(24) == 1 << 19
 
 
 def reference_up_set(masks, n):

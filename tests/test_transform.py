@@ -534,6 +534,53 @@ class TestKeptForm:
         assert simple_form_from_paths(paths) is form
         assert calls == []
 
+    def test_a_family_is_scanned_for_minimality_once(self, monkeypatch):
+        import structfn.core
+
+        checks = []  # one any() per member the pairwise scan visits
+
+        def counted_any(items):
+            checks.append(1)
+            return any(items)
+
+        monkeypatch.setattr(structfn.core, "any", counted_any, raising=False)
+        paths = family(LATTICE_N20_PATHS, 20)
+        form = simple_form_from_paths(paths)
+        diagonal_from_paths(paths)
+        signature_from_paths(paths)
+        for k in (1, 2, 3):
+            union = paths.masks()[0] | paths.masks()[k]
+            assert formation_balance(paths, union) == form.coefficient(union)
+        assert paths.is_antichain() and paths.minimized() is paths
+        assert len(checks) == paths.r
+        redundant = family([(1,), (1, 2), (2, 3)], 3)
+        minimal = redundant.minimized()
+        assert minimal == family([(1,), (2, 3)], 3)
+        assert redundant.minimized() is minimal and minimal.minimized() is minimal
+        assert not redundant.is_antichain() and minimal.is_antichain()
+        assert len(checks) == paths.r + redundant.r
+
+    def test_the_kept_form_is_collapsed_once(self, monkeypatch):
+        import structfn.reliability
+
+        collapsed = []
+        poly = structfn.reliability.DiagonalPoly
+
+        def counted(**fields):
+            collapsed.append(fields["n"])
+            return poly(**fields)
+
+        monkeypatch.setattr(structfn.reliability, "DiagonalPoly", counted)
+        paths = family(LATTICE_N20_PATHS, 20)
+        diagonal = diagonal_from_paths(paths)
+        signature = signature_from_paths(paths)
+        assert diagonal_from_paths(paths) is diagonal
+        assert diagonal_coefficients(simple_form_from_paths(paths)) is diagonal
+        assert collapsed == [20]
+        expected = diagonal_coefficients(mobius_transform(table_from_paths(paths)))
+        assert collapsed == [20, 20]  # a fresh form collapses on its own
+        assert diagonal == expected and signature == signature_from_diagonal(expected)
+
     @pytest.mark.parametrize(
         "call", [simple_form_from_paths, diagonal_from_paths, signature_from_paths]
     )

@@ -27,7 +27,8 @@ from functools import cache, cached_property
 from math import prod
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from types import GeneratorType
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import oracle
 from .core import (
@@ -40,9 +41,8 @@ from .core import (
     SetFamily,
     SignatureVector,
     TruthTable,
-    _BYTE_LABELS,
     _check_max_n,
-    _mask_labels,
+    _labels_text,
     _require_semicoherent,
     _subset_sort_key,
     zeta_transform,
@@ -254,18 +254,6 @@ class _Analysis:
         return small_counts_from_signature(self.sig)
 
 
-# _BYTE_NAMES[k][b]: the variables x<label> of the set bits of byte b at byte k.
-_NAMES = tuple(f"x{c}" for c in range(N_MAX + 1))
-_BYTE_NAMES = tuple(
-    tuple(tuple(_NAMES[c] for c in labels) for labels in level) for level in _BYTE_LABELS
-)
-
-
-def _monomial_text(mask: int) -> str:
-    low, mid, high = _BYTE_NAMES
-    return "*".join(low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16])
-
-
 def _signed_sum(terms: Iterable[tuple[int, str]], times: str) -> str:
     """Join (coefficient, monomial) terms as "-x + 2*y - z"; no terms read "0".
 
@@ -287,8 +275,8 @@ def _signed_sum(terms: Iterable[tuple[int, str]], times: str) -> str:
 
 def _form_text(form: MultilinearForm) -> str:
     coeffs = form.coeffs
-    terms = ((coeffs[m], _monomial_text(m)) for m in sorted(coeffs, key=_subset_sort_key))
-    return _signed_sum(terms, "*")
+    masks = sorted(coeffs, key=_subset_sort_key)
+    return _signed_sum(zip(map(coeffs.__getitem__, masks), _labels_text(masks, "*x")), "*")
 
 
 def _diagonal_text(d: tuple[int, ...]) -> str:
@@ -304,33 +292,17 @@ def _small_text(small: tuple[int, int, int, int]) -> str:
     return f"alpha1={small[0]} alpha2={small[1]} beta1={small[2]} beta2={small[3]}"
 
 
-def _family_json(family: SetFamily) -> list[list[int]]:
-    return [list(_mask_labels(m)) for m in family.masks()]
+def _members_json(family: SetFamily) -> Iterator[str]:
+    return (f"[{labels}\n    ]" for labels in _labels_text(family.masks(), ",\n      "))
 
 
-# Items of a term's "subset" list, which sits at depth 3 of the JSON output.
-_ITEM_SEP = ",\n        "
-
-
-@cache
-def _byte_items() -> tuple[tuple[str, ...], ...]:
-    """[k][b]: the labels of _BYTE_LABELS[k][b] as "subset" items, built on first use."""
-    return tuple(tuple(_ITEM_SEP.join(map(str, ls)) for ls in level) for level in _BYTE_LABELS)
-
-
-def _form_json(form: MultilinearForm) -> str:
-    """The form's {"coeff", "subset"} terms in canonical order, as the text that
-    ``json.dumps(indent=2, sort_keys=True)`` writes for them as a top-level
-    payload value (depth 1). :func:`_render` puts this text in place of the
-    form's placeholder; at any other depth it would be misindented."""
+def _terms_json(form: MultilinearForm) -> Iterator[str]:
+    """The form's {"coeff", "subset"} terms in canonical order."""
     coeffs = form.coeffs
-    low, mid, high = _byte_items()
-    terms = []
-    for m in sorted(coeffs, key=_subset_sort_key):
-        items = _ITEM_SEP.join(filter(None, (low[m & 255], mid[m >> 8 & 255], high[m >> 16])))
-        subset = f"[\n        {items}\n      ]" if m else "[]"
-        terms.append(f'    {{\n      "coeff": {coeffs[m]},\n      "subset": {subset}\n    }}')
-    return "[\n" + ",\n".join(terms) + "\n  ]" if terms else "[]"
+    masks = sorted(coeffs, key=_subset_sort_key)
+    for m, labels in zip(masks, _labels_text(masks, ",\n        ")):
+        subset = f"[{labels}\n      ]" if m else "[]"
+        yield f'{{\n      "coeff": {coeffs[m]},\n      "subset": {subset}\n    }}'
 
 
 def _census_json(family: SetFamily) -> list[int]:
@@ -351,27 +323,20 @@ def _table_json(table: TruthTable) -> "str | None":
 
 # Every view a report command prints: its text label, JSON key, the _Analysis
 # attribute that holds it, and its text and JSON renderers. A view without a
-# label is JSON only, and a JSON renderer's None leaves its key out. A form
-# goes into the payload as it is, for _render to write; the form renderers are
-# looked up when called, so a command reaches only those of the format asked for.
+# label is JSON only, and a JSON renderer's None leaves its key out. Families
+# and forms go into the payload as generators of their items' text, for _render.
 _VIEWS: dict[str, tuple] = {
     "n": ("n: ", "n", "table.n", str, int),
     "json_n": (None, "n", "table.n", None, int),
     "representation": ("representation: ", "representation", "kind", str, str),
     "semicoherent": ("semicoherent: ", "semicoherent", "semicoherent", lambda _: "yes", bool),
-    "paths": ("minimal path sets: ", "minimal_path_sets", "paths", str, _family_json),
-    "cuts": ("minimal cut sets: ", "minimal_cut_sets", "dual.paths", str, _family_json),
+    "paths": ("minimal path sets: ", "minimal_path_sets", "paths", str, _members_json),
+    "cuts": ("minimal cut sets: ", "minimal_cut_sets", "dual.paths", str, _members_json),
     "dual_paths": (
-        "dual minimal path sets: ", "dual_minimal_path_sets", "dual.paths", str, _family_json
+        "dual minimal path sets: ", "dual_minimal_path_sets", "dual.paths", str, _members_json
     ),
-    "form": (
-        "simple form: ", "simple_form", "form",
-        lambda form: _form_text(form), lambda form: form,
-    ),
-    "dual_form": (
-        "dual simple form: ", "dual_simple_form", "dual.form",
-        lambda form: _form_text(form), lambda form: form,
-    ),
+    "form": ("simple form: ", "simple_form", "form", _form_text, _terms_json),
+    "dual_form": ("dual simple form: ", "dual_simple_form", "dual.form", _form_text, _terms_json),
     "diagonal": ("diagonal: ", "diagonal", "diagonal.d", _diagonal_text, list),
     "dual_diagonal": ("dual diagonal: ", "dual_diagonal", "dual.diagonal.d", _diagonal_text, list),
     "signature": ("signature: ", "signature", "sig", str, _sig_json),
@@ -406,19 +371,24 @@ def _render(
     """Build only the format asked for: text lines or the JSON payload.
 
     JSON is what ``json.dumps(payload, indent=2, sort_keys=True)`` prints, from
-    that one call. A form in the payload stays out of it: the call sees the
-    placeholder "\\0" + key instead, whose encoding is then replaced by the
-    form's text from :func:`_form_json`. No other payload string holds a NUL,
-    so no other string can match a placeholder.
+    that one call. A list that the payload holds as a generator of its items'
+    text, indented as the call indents the items of a payload value, stays out
+    of it: the call sees the placeholder "\\0" instead, and one join writes
+    the call's text with each placeholder's encoding replaced, in key order,
+    by its list. No other payload string holds a NUL, so no other string can
+    match a placeholder.
     """
     if options.fmt != "json":
         return Report(text="\n".join(lines()))
     data = payload()
-    forms = {key: value for key, value in data.items() if isinstance(value, MultilinearForm)}
-    text = json.dumps({**data, **{key: "\0" + key for key in forms}}, indent=2, sort_keys=True)
-    for key, form in forms.items():
-        text = text.replace(f'"\\u0000{key}"', _form_json(form), 1)
-    return Report(text=text)
+    lists = {key: value for key, value in data.items() if isinstance(value, GeneratorType)}
+    text = json.dumps({**data, **dict.fromkeys(lists, "\0")}, indent=2, sort_keys=True)
+    skeleton = text.split('"\\u0000"')
+    pieces = [skeleton[0]]
+    for key, after in zip(sorted(lists), skeleton[1:]):
+        items = ",\n    ".join(lists[key])
+        pieces += ("[\n    ", items, "\n  ]", after) if items else ("[]", after)
+    return Report(text="".join(pieces))
 
 
 def _run_views(system: SystemDoc, options: Options, names: Sequence[str]) -> Report:

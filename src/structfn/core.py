@@ -34,7 +34,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -128,6 +128,21 @@ def _mask_labels(mask: int) -> tuple[int, ...]:
     """The 1-based component labels of a mask below 2^24, ascending."""
     low, mid, high = _BYTE_LABELS
     return low[mask & 255] + mid[mask >> 8 & 255] + high[mask >> 16]
+
+
+@cache
+def _label_pieces(sep: str) -> tuple[tuple[str, ...], ...]:
+    """[k][b]: sep + label for each label of _BYTE_LABELS[k][b], concatenated;
+    built on first use for each separator."""
+    return tuple(tuple("".join(sep + str(c) for c in ls) for ls in level) for level in _BYTE_LABELS)
+
+
+def _labels_text(masks: Iterable[int], sep: str) -> Iterator[str]:
+    """The text of each mask below 2^24: its 1-based labels in ascending order,
+    each after ``sep``, with the first character dropped. For mask 5, sep ","
+    writes "1,3" and sep "*x" writes "x1*x3"; mask 0 is always ""."""
+    low, mid, high = _label_pieces(sep)
+    return ((low[m & 255] + mid[m >> 8 & 255] + high[m >> 16])[1:] for m in masks)
 
 
 def _set_str(mask: int) -> str:
@@ -550,7 +565,7 @@ class SetFamily:
         return tuple(counts)
 
     def __str__(self) -> str:
-        return ", ".join(map(_set_str, self._masks))
+        return ", ".join(f"{{{labels}}}" for labels in _labels_text(self._masks, ","))
 
     def __repr__(self) -> str:
         return f"SetFamily(n={self.n}, members={self.members!r})"

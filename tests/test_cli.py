@@ -28,6 +28,7 @@ from structfn import (
     R_MAX,
     CapacityError,
     MultilinearForm,
+    SetFamily,
     SubsetMask,
     TruthTable,
     diagonal_from_paths,
@@ -41,7 +42,13 @@ from structfn import (
     table_from_cuts,
     table_from_paths,
 )
-from structfn.core import _mask_labels, _mobius_budget, _subset_sort_key, _subtable_mobius
+from structfn.core import (
+    _mask_labels,
+    _mobius_budget,
+    _set_str,
+    _subset_sort_key,
+    _subtable_mobius,
+)
 from structfn.cli import (
     COMMANDS,
     EXIT_CAPACITY,
@@ -49,7 +56,12 @@ from structfn.cli import (
     EXIT_MISMATCH,
     EXIT_OK,
     VERIFY_N_MAX,
-    _form_json,
+    Options,
+    _VIEWS,
+    _form_text,
+    _members_json,
+    _render,
+    _terms_json,
     _vertices_match,
     main,
     parse_document,
@@ -789,15 +801,16 @@ class TestExitCodes:
         assert out == "n: 5\nminimal path sets: {1,4}, {2,5}, {1,3,5}, {2,3,4}\n"
         assert len(built) == 1
 
-    def test_closed_stdout_ends_quietly(self, tmp_path):
-        # 2^16 - 1 terms, far more than a pipe buffer holds.
-        doc = write_doc(tmp_path, {"n": 16, "paths": [[i] for i in range(1, 17)]})
+    @pytest.mark.parametrize("fmt, head", [("text", b"n: 14\nsimp"), ("json", b'{\n  "n": 1')])
+    def test_closed_stdout_ends_quietly(self, tmp_path, fmt, head):
+        # 2^14 - 1 terms: over 64 KiB, more than a pipe buffer holds, in either format.
+        doc = write_doc(tmp_path, {"n": 14, "paths": [[i] for i in range(1, 15)]})
         proc = subprocess.Popen(
-            [sys.executable, "-m", "structfn", "simple-form", doc],
+            [sys.executable, "-m", "structfn", "simple-form", "--format", fmt, doc],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
         )
-        assert proc.stdout.read(10) == b"n: 16\nsimp"
+        assert proc.stdout.read(10) == head
         proc.stdout.close()
         err = proc.stderr.read()
         proc.stderr.close()
@@ -1084,12 +1097,15 @@ class TestCommandScope:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("command", ["analyze", "dual", "simple-form"])
     def test_renders_one_format(self, tmp_path, capsys, monkeypatch, command, fmt):
-        unused = "_form_json" if fmt == "text" else "_form_text"
+        """No renderer of the other format is called, such as _terms_json for
+        text or _form_text for JSON."""
+        other = 4 if fmt == "text" else 3  # the view's JSON or text renderer
 
         def refuse(*args, **kwargs):
-            raise AssertionError(f"{fmt} output needs no {unused}")
+            raise AssertionError(f"{fmt} output calls a renderer of the other format")
 
-        monkeypatch.setattr(f"structfn.cli.{unused}", refuse)
+        for name, view in _VIEWS.items():
+            monkeypatch.setitem(_VIEWS, name, (*view[:other], refuse, *view[other + 1 :]))
         rc, out = run_cli(tmp_path, capsys, "bridge", command, fmt)
         assert rc == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_DIGESTS["bridge", command, fmt]
@@ -1198,6 +1214,61 @@ ENCODER_CASES = [
 ]
 
 
+def json_text(items) -> str:
+    """The CLI's JSON output for a payload whose one key, "value", holds the
+    list that ``items`` writes."""
+    return _render(Options(fmt="json"), list, lambda: {"value": items}).text
+
+
+def stdlib_json(value) -> str:
+    return json.dumps({"value": value}, indent=2, sort_keys=True)
+
+
+def reference_form_text(form: MultilinearForm) -> str:
+    """A form's text as the CLI once wrote it: each monomial the variables
+    x<label> joined by "*", after its coefficient's sign and magnitude."""
+    parts = []
+    for m in sorted(form.coeffs, key=_subset_sort_key):
+        coeff = form.coeffs[m]
+        monomial = "*".join(f"x{c}" for c in _mask_labels(m))
+        body = monomial if abs(coeff) == 1 else f"{abs(coeff)}*{monomial}"
+        if not parts:
+            parts.append(body if coeff > 0 else f"-{body}")
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + body)
+    return " ".join(parts) if parts else "0"
+
+
+def seeded_family(rng: random.Random, members: int) -> SetFamily:
+    """An n = 24 family of distinct masks that use all three bytes, one of
+    them the low byte alone and one the top component alone."""
+    masks = {rng.getrandbits(8) | 1, 1 << 23}
+    while len(masks) < members:
+        masks.add(rng.getrandbits(24) | 1 << rng.randrange(8, 16) | 1 << rng.randrange(16, 24))
+    return SetFamily._trusted(24, tuple(sorted(masks, key=_subset_sort_key)))
+
+
+# The CLI's rendering and its reference, of a seeded n = 24 form and family.
+SEEDED_RENDERINGS = {
+    "form-json": (
+        lambda form, family: json_text(_terms_json(form)),
+        lambda form, family: stdlib_json(dict_form_json(form)),
+    ),
+    "family-json": (
+        lambda form, family: json_text(_members_json(family)),
+        lambda form, family: stdlib_json([list(_mask_labels(m)) for m in family.masks()]),
+    ),
+    "form-text": (
+        lambda form, family: _form_text(form),
+        lambda form, family: reference_form_text(form),
+    ),
+    "family-text": (
+        lambda form, family: str(family),
+        lambda form, family: ", ".join(map(_set_str, family.masks())),
+    ),
+}
+
+
 def seeded_form(rng: random.Random, terms: int) -> MultilinearForm:
     """An n = 24 form whose masks use all three bytes, with coefficients of
     either sign and magnitudes from 1 to past 10."""
@@ -1211,8 +1282,9 @@ def seeded_form(rng: random.Random, terms: int) -> MultilinearForm:
 
 
 class TestFormJSON:
-    """Forms are written straight to JSON text, byte for byte what the stdlib
-    encoder prints for the term dicts."""
+    """Forms and families are written straight to JSON text, byte for byte
+    what the stdlib encoder prints for the term dicts and label lists, and to
+    text by the same label writer."""
 
     @pytest.mark.parametrize(
         "doc_name, command", ENCODER_CASES, ids=[f"{d}-{c}" for d, c in ENCODER_CASES]
@@ -1238,10 +1310,12 @@ class TestFormJSON:
         assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("seed", range(8))
-    def test_seeded_n24_forms(self, seed):
-        form = seeded_form(random.Random(seed), 300)
-        expected = json.dumps({"form": dict_form_json(form)}, indent=2, sort_keys=True)
-        assert '{\n  "form": ' + _form_json(form) + "\n}" == expected
+    @pytest.mark.parametrize("rendering", list(SEEDED_RENDERINGS))
+    def test_seeded_n24(self, rendering, seed):
+        rng = random.Random(seed)
+        form, family = seeded_form(rng, 300), seeded_family(rng, 300)
+        written, reference = SEEDED_RENDERINGS[rendering]
+        assert written(form, family) == reference(form, family)
 
     @pytest.mark.parametrize(
         "coeffs",
@@ -1250,12 +1324,14 @@ class TestFormJSON:
     )
     def test_constant_term_and_empty_form(self, coeffs):
         form = MultilinearForm(24, coeffs)
-        expected = json.dumps({"form": dict_form_json(form)}, indent=2, sort_keys=True)
-        assert '{\n  "form": ' + _form_json(form) + "\n}" == expected
+        expected = stdlib_json(dict_form_json(form))
+        assert json_text(_terms_json(form)) == expected
         assert ('"subset": []' in expected) == (0 in coeffs)
+        assert _form_text(form) == reference_form_text(form)
 
-    @pytest.mark.parametrize("command", ["analyze", "dual", "simple-form"])
+    @pytest.mark.parametrize("command", ["analyze", "dual", "simple-form", "paths", "cuts"])
     def test_no_term_reaches_the_stdlib_encoder(self, tmp_path, capsys, monkeypatch, command):
+        """Neither a form's terms nor a family's label lists go through json.dumps."""
         import structfn.cli
 
         original = structfn.cli.json.dumps
@@ -1265,9 +1341,9 @@ class TestFormJSON:
             payloads.append(obj)
             for key, value in obj.items():
                 if isinstance(value, list) and any(
-                    isinstance(v, dict) and "coeff" in v for v in value
+                    isinstance(v, list) or isinstance(v, dict) and "coeff" in v for v in value
                 ):
-                    raise AssertionError(f"the terms of {key!r} went through json.dumps")
+                    raise AssertionError(f"the items of {key!r} went through json.dumps")
             return original(obj, *args, **kwargs)
 
         path = write_doc(tmp_path, SCOPE_DOCS["lattice_n20"])

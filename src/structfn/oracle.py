@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .core import CapacityError, MultilinearForm, SetFamily, SubsetMask, TruthTable
+from .core import CapacityError, MultilinearForm, SetFamily, SubsetMask, TruthTable, _mask_bits
 
 __all__ = [
     "ORACLE_N_MAX",
@@ -148,6 +148,5 @@ def oracle_formations(paths: SetFamily, subset: "SubsetMask | int") -> tuple[int
     Reads the subset's entry of the family's formation census. The difference
     odd - even is the subset's simple-form coefficient.
     """
-    census = _formation_census(paths)
-    target = subset.bits if isinstance(subset, SubsetMask) else subset & ((1 << paths.n) - 1)
-    return census.get(target, (0, 0))
+    target = _mask_bits(subset, paths.n)
+    return _formation_census(paths).get(target, (0, 0))

@@ -15,6 +15,7 @@ from conftest import (
     BRIDGE_N,
     BRIDGE_PATHS,
     LATTICE_N20_PATHS,
+    LATTICE_N22_PATHS,
     LATTICE_N24_PATHS,
     OVERLAP_PAIRS,
     PAIRS_N,
@@ -36,6 +37,7 @@ from structfn import (
     evaluate_inclusion_exclusion,
     evaluate_reliability,
     minimal_cut_sets,
+    minimal_path_sets,
     mobius_transform,
     signature_boland,
     simple_form_from_paths,
@@ -43,6 +45,7 @@ from structfn import (
     table_from_paths,
 )
 from structfn.core import (
+    _dense_mobius,
     _mask_labels,
     _mobius_budget,
     _set_str,
@@ -453,9 +456,24 @@ class TestReliability:
         assert "component probabilities" not in err
 
 
+# Systems that pass every check: the bridge, the ten cyclic triples {i, i+1, i+3}
+# on ten components, and parallel 10 (1,023 terms) and 5-out-of-10, the
+# densest forms at the verify cap.
+VERIFY_DOCS = {
+    "bridge": BRIDGE_DOC,
+    "ring_10": {
+        "n": 10,
+        "paths": [sorted({i, i % 10 + 1, (i + 2) % 10 + 1}) for i in range(1, 11)],
+    },
+    "parallel_10": {"n": 10, "paths": [[i] for i in range(1, 11)]},
+    "5_of_10": {"n": 10, "table": k_of_n_table(5, 10).values_string()},
+}
+
+
 class TestVerify:
-    def test_bridge_passes_all_checks(self, tmp_path, capsys):
-        rc = main(["verify", write_doc(tmp_path, BRIDGE_DOC)])
+    @pytest.mark.parametrize("doc_name", list(VERIFY_DOCS))
+    def test_passes_all_checks(self, tmp_path, capsys, doc_name):
+        rc = main(["verify", write_doc(tmp_path, VERIFY_DOCS[doc_name])])
         out = capsys.readouterr().out
         assert rc == EXIT_OK
         assert "verification: PASS (8/8 checks)" in out
@@ -1186,6 +1204,14 @@ class TestNumpyScope:
         coeffs, work = _subtable_mobius(table.bits, table.n, _mobius_budget(table.n))
         assert (coeffs is None) == trips
         assert (work > _mobius_budget(table.n)) == trips
+        # Run to its end, the walk gives the dense passes' terms in their order.
+        walked, _ = _subtable_mobius(table.bits, table.n, 1 << 62)
+        assert list(walked.items()) == list(_dense_mobius(table.bits, table.n).items())
+
+
+def family_json(family: SetFamily) -> list[list[int]]:
+    """A family's JSON value as the CLI once built it: its members' label lists."""
+    return [list(_mask_labels(m)) for m in family.masks()]
 
 
 def dict_form_json(form: MultilinearForm) -> list[dict]:
@@ -1200,10 +1226,15 @@ def dict_form_json(form: MultilinearForm) -> list[dict]:
 SAMPLE_DIR = Path(__file__).resolve().parent.parent / "sample_systems"
 
 # Documents whose JSON output is checked against the stdlib encoder, by name:
-# the three sample systems, of which "bridge" is BRIDGE_DOC, and the n = 20 lattice.
+# the three sample systems, of which "bridge" is BRIDGE_DOC, the benchmark's
+# n = 20, 22 and 24 lattices, whose labels past 16 fill a mask's third byte,
+# and parallel 12, whose form has 4,095 terms.
 ENCODER_DOCS = {
     **{path.stem: json.loads(path.read_text()) for path in sorted(SAMPLE_DIR.glob("*.json"))},
     "lattice_n20": SCOPE_DOCS["lattice_n20"],
+    "lattice_n22": {"n": 22, "paths": [list(p) for p in LATTICE_N22_PATHS]},
+    "lattice_n24": SCOPE_DOCS["lattice_n24"],
+    "parallel_12": {"n": 12, "paths": [[i] for i in range(1, 13)]},
 }
 assert ENCODER_DOCS["bridge"] == BRIDGE_DOC
 ENCODER_CASES = [
@@ -1218,6 +1249,16 @@ def json_text(items) -> str:
     """The CLI's JSON output for a payload whose one key, "value", holds the
     list that ``items`` writes."""
     return _render(Options(fmt="json"), list, lambda: {"value": items}).text
+
+
+def assert_same_text(out: str, expected: str) -> None:
+    """Fail on the first line where out differs from expected. pytest's own
+    diff of two long outputs that differ in length can run for minutes."""
+    if out != expected:
+        got, want = out.splitlines(), expected.splitlines()
+        same = (a == b for a, b in zip(got, want))
+        i = next((i for i, ok in enumerate(same) if not ok), min(len(got), len(want)))
+        pytest.fail(f"line {i + 1}: {got[i:i + 1]!r:.200} != {want[i:i + 1]!r:.200}")
 
 
 def stdlib_json(value) -> str:
@@ -1256,7 +1297,7 @@ SEEDED_RENDERINGS = {
     ),
     "family-json": (
         lambda form, family: json_text(_members_json(family)),
-        lambda form, family: stdlib_json([list(_mask_labels(m)) for m in family.masks()]),
+        lambda form, family: stdlib_json(family_json(family)),
     ),
     "form-text": (
         lambda form, family: _form_text(form),
@@ -1300,14 +1341,17 @@ class TestFormJSON:
             table = table_from_paths(system.paths)
         else:
             table = table_from_cuts(system.cuts)
-        forms = {
-            "simple_form": mobius_transform(table),
-            "dual_simple_form": mobius_transform(dualize_table(table)),
+        references = {
+            "simple_form": lambda: dict_form_json(mobius_transform(table)),
+            "dual_simple_form": lambda: dict_form_json(mobius_transform(dualize_table(table))),
+            "minimal_path_sets": lambda: family_json(minimal_path_sets(table)),
+            "minimal_cut_sets": lambda: family_json(minimal_cut_sets(table)),
+            "dual_minimal_path_sets": lambda: family_json(minimal_cut_sets(table)),
         }
         expected = json.loads(out)
-        for key in forms.keys() & expected.keys():
-            expected[key] = dict_form_json(forms[key])
-        assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+        for key in references.keys() & expected.keys():
+            expected[key] = references[key]()
+        assert_same_text(out, json.dumps(expected, indent=2, sort_keys=True) + "\n")
 
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("rendering", list(SEEDED_RENDERINGS))

@@ -12,6 +12,7 @@ from conftest import (
     BRIDGE_PATHS,
     LATTICE_N20_PATHS,
     LATTICE_N22_PATHS,
+    LATTICE_N24_PATHS,
     coproduct_table,
     family,
 )
@@ -579,7 +580,9 @@ class TestSubtableMobius:
             monotone = table_from_paths(SetFamily._trusted(n, tuple(set(paths))))
             self.assert_routes_agree(monotone, oracle=n <= 8)
 
-    @pytest.mark.parametrize("n, paths", [(20, LATTICE_N20_PATHS), (22, LATTICE_N22_PATHS)])
+    @pytest.mark.parametrize(
+        "n, paths", [(20, LATTICE_N20_PATHS), (22, LATTICE_N22_PATHS), (24, LATTICE_N24_PATHS)]
+    )
     @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
     def test_lattice_shapes_stay_within_the_budget(self, n, paths, dual):
         table = table_from_paths(family(paths, n))

@@ -25,6 +25,7 @@ from structfn import (
     SetFamily,
     SubsetMask,
     dualize_table,
+    formation_balance,
     minimal_cut_sets,
     minimal_path_sets,
     mobius_transform,
@@ -105,6 +106,18 @@ class TestOracleFormations:
     def test_accepts_raw_mask(self):
         paths = family(BRIDGE_PATHS, BRIDGE_N)
         assert oracle_formations(paths, 0b11111) == (4, 2)
+
+    def test_rejects_the_subsets_formation_balance_rejects(self):
+        paths = family(BRIDGE_PATHS, BRIDGE_N)
+        for subset, message in [
+            (0b11111 | 1 << 7, "mask 159 out of range for 5 components"),
+            (-1, "mask -1 out of range for 5 components"),
+            (SubsetMask(0b11111, 6), "subset is over 6 components, expected 5"),
+        ]:
+            for route in (formation_balance, oracle_formations):
+                with pytest.raises(ValueError) as error:
+                    route(paths, subset)
+                assert str(error.value) == message, route
 
     def test_census_is_keyed_by_the_union_closure(self):
         for paths, _ in pinned_families():

@@ -46,7 +46,7 @@ def test_readme_has_transcripts():
 @pytest.mark.parametrize("argv, expected", TRANSCRIPTS, ids=[" ".join(a) for a, _ in TRANSCRIPTS])
 def test_transcript_matches_stdout(argv, expected, capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
-    main(argv)
+    assert main(argv) == 0
     assert capsys.readouterr().out == expected
 
 

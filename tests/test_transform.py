@@ -130,6 +130,18 @@ def star_paths(r: int) -> SetFamily:
     return family([(1, i) for i in range(2, r + 2)], r + 1)
 
 
+# Builders of the largest families whose kernel forms are checked against
+# the table's Mobius transform; each is built in its own test, so no form
+# outlives it. Hub 21's members each hold one of components 1..21 and two of
+# the three hubs 22..24.
+LARGE_FAMILIES = {
+    "parallel_20": lambda: parallel_paths(20),
+    "star_20": lambda: star_paths(20),
+    "ring_20": lambda: ring_paths(20),
+    "hub_21": lambda: family([(i, 22 + i % 3, 22 + (i + 1) % 3) for i in range(1, 22)], 24),
+}
+
+
 def mask_family(masks, n: int) -> SetFamily:
     return SetFamily(n, tuple(SubsetMask(m, n) for m in masks))
 
@@ -358,6 +370,11 @@ class TestSimpleFormExpansion:
     def test_capacity_error_when_both_caps_exceeded(self):
         with pytest.raises(CapacityError):
             simple_form_from_paths(family(BRIDGE_PATHS, BRIDGE_N), max_r=2, max_n=2)
+
+    @pytest.mark.parametrize("name", list(LARGE_FAMILIES))
+    def test_kernel_matches_mobius_on_large_families(self, name):
+        paths = LARGE_FAMILIES[name]()
+        assert simple_form_from_paths(paths) == mobius_transform(table_from_paths(paths))
 
     def test_dual_form_from_cuts(self):
         cuts = family([(1, 3), (2, 3), (2, 4)], 4)

@@ -34,7 +34,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, Mapping, Union
 
 __all__ = [
@@ -193,7 +193,7 @@ def _carried_up(chunks: list[int], n: int) -> Iterator[tuple[int, int, int]]:
     chunks ascend. Each chunk is read when its item is made, so a caller that
     ORs ``carried`` into ``chunks[k]`` as it goes builds the up-set.
     """
-    patterns = _component_patterns(min(n, _CHUNK_N))
+    patterns = _component_patterns()[:n]
     for k in range(len(chunks)):
         for i, pattern in enumerate(patterns):
             yield i, k, (chunks[k] << (1 << i)) & pattern
@@ -204,17 +204,17 @@ def _carried_up(chunks: list[int], n: int) -> Iterator[tuple[int, int, int]]:
                 yield _CHUNK_N + j, k, chunks[k ^ step]
 
 
-@lru_cache(maxsize=8)
-def _component_patterns(n: int) -> tuple[int, ...]:
-    """Pattern i marks every table position whose index has bit i set.
+@cache
+def _component_patterns() -> tuple[int, ...]:
+    """Pattern i marks every chunk position whose index has bit i set.
 
-    Each pattern is a 2^n-bit integer; they let table-wide questions about one
-    component be answered with a constant number of big-integer operations.
-    Table passes ask for n <= 16 only, one chunk's worth.
+    Each of the 16 is a 2^16-bit integer that answers a chunk-wide question
+    about one component in a few big-integer operations. Tables of n < 16
+    components take the first n: ``&`` costs the shorter operand's length.
     """
-    total = 1 << n
+    total = 1 << _CHUNK_N
     patterns = []
-    for i in range(n):
+    for i in range(_CHUNK_N):
         width = 2 << i
         block = ((1 << (1 << i)) - 1) << (1 << i)
         while width < total:
@@ -224,16 +224,16 @@ def _component_patterns(n: int) -> tuple[int, ...]:
     return tuple(patterns)
 
 
-@lru_cache(maxsize=8)
-def _size_patterns(n: int) -> tuple[int, ...]:
-    """Pattern k marks every table position whose index has exactly k bits set.
+@cache
+def _size_patterns() -> tuple[int, ...]:
+    """Pattern k marks every chunk position whose index has exactly k bits set,
+    for k = 0..16; tables of n < 16 components take the first n + 1.
 
     Built by the Pascal-triangle recursion: doubling the component count shifts
     a copy of each pattern into the half where the new component is present.
-    Table passes ask for n <= 16 only, one chunk's worth.
     """
     patterns = [1]
-    for m in range(n):
+    for m in range(_CHUNK_N):
         offset = 1 << m
         grown = [patterns[0]]
         for k in range(1, m + 1):
@@ -250,10 +250,14 @@ def _reverse_bits(bits: int, width: int) -> int:
     return int.from_bytes(bits.to_bytes(width // 8, "little").translate(_REV8), "big")
 
 
-def _up_closure(bits: int, n: int) -> int:
-    """The up-set of the marked positions: every marked subset's supersets,
-    carried up one component at a time; the inverse of :func:`_minimal_true_chunks`."""
-    chunks = _split_chunks(bits, n)
+def _up_closure(masks: Iterable[int], n: int) -> int:
+    """The table integer of the given masks' supersets, in O(n * 2^n) whatever
+    their number: the masks are marked, then carried up one component at a
+    time; the inverse of :func:`_minimal_true_chunks`."""
+    marks = bytearray(((1 << n) + 7) // 8)
+    for m in masks:
+        marks[m >> 3] |= 1 << (m & 7)
+    chunks = _split_chunks(int.from_bytes(marks, "little"), n)
     for _, k, carried in _carried_up(chunks, n):
         chunks[k] |= carried
     return _join_chunks(chunks, n)
@@ -279,7 +283,7 @@ def _true_count_by_size(table: "TruthTable") -> tuple[int, ...]:
     Entry s of chunk k has size popcount(k) + s, so each chunk adds its
     per-size counts at an offset.
     """
-    patterns = _size_patterns(min(table.n, _CHUNK_N))
+    patterns = _size_patterns()[: table.n + 1]
     counts = [0] * (table.n + 1)
     for k, chunk in enumerate(_split_chunks(table.bits, table.n)):
         base = k.bit_count()
@@ -309,7 +313,7 @@ def _lattice_pass(arr, components: range, sign: int) -> None:
         op(view[:, step:], view[:, :step])
 
 
-@lru_cache(maxsize=1)
+@cache
 def _mobius_words():
     """Row w: the Mobius transform over components 1..4 of the 16 entries that
     the 16-bit word w holds, bit j as entry j; within +-2^3, so int8."""

@@ -161,25 +161,23 @@ def _minimal_paths(table: TruthTable) -> SetFamily:
 def minimal_cut_sets(table: TruthTable) -> SetFamily:
     """The inclusion-minimal subsets whose joint failure brings the system down.
 
-    These are exactly the minimal path sets of the dual system.
+    These are exactly the minimal path sets of the dual system. The given
+    table is validated, so errors name its own subsets, not the dual's.
     """
-    return minimal_path_sets(dualize_table(table))
+    _require_semicoherent(table)
+    return _minimal_paths(dualize_table(table))
 
 
 def table_from_paths(paths: SetFamily, *, max_n: "int | None" = None) -> TruthTable:
     """The table of the system that works iff some path set is fully working.
 
-    The up-set of the members, in O(n * 2^n) whatever their number: each
-    component in turn carries the marked members up to their supersets, the
-    inverse of :func:`_minimal_true_chunks`. Redundant (non-minimal) members are
-    absorbed silently, and the result is semicoherent by construction.
+    The up-set of the members, in O(n * 2^n) whatever their number. Redundant
+    (non-minimal) members are absorbed silently, and the result is
+    semicoherent by construction.
     """
     _check_max_n(paths.n, max_n)
     _require_members(paths)
-    marks = bytearray(((1 << paths.n) + 7) // 8)
-    for m in paths.masks():
-        marks[m >> 3] |= 1 << (m & 7)
-    return TruthTable(n=paths.n, bits=_up_closure(int.from_bytes(marks, "little"), paths.n))
+    return TruthTable(n=paths.n, bits=_up_closure(paths.masks(), paths.n))
 
 
 def table_from_cuts(cuts: SetFamily, *, max_n: "int | None" = None) -> TruthTable:
@@ -283,13 +281,13 @@ def paths_from_simple_form(form: MultilinearForm) -> SetFamily:
     For a semicoherent system the inclusion-minimal subsets with nonzero
     coefficient are precisely the minimal path sets, and each carries
     coefficient +1; anything else means the coefficients are inconsistent.
+    They are read off the support's up-set in one O(n * 2^n) table pass.
     """
     if form.coefficient(0) != 0:
         raise InconsistentFormError(
             f"constant term {form.coefficient(0)} present; no semicoherent system has one"
         )
-    support = SetFamily._trusted(form.n, tuple(sorted(form.coeffs, key=_subset_sort_key)))
-    minimal = support.minimized()
+    minimal = _minimal_paths(TruthTable(n=form.n, bits=_up_closure(form.coeffs, form.n)))
     for mask in minimal.masks():
         coeff = form.coeffs[mask]
         if coeff != 1:
@@ -302,14 +300,11 @@ def paths_from_simple_form(form: MultilinearForm) -> SetFamily:
 def cuts_from_paths(paths: SetFamily, *, max_n: "int | None" = None) -> SetFamily:
     """Minimal cut sets of the system with the given minimal path sets.
 
-    Goes through the dual simple form: dualize the path-generated table, take
-    its multilinear coefficients, and read off the minimal monomials. This
-    exercises the algebraic route end to end, including the check that every
-    minimal dual monomial carries coefficient +1.
+    They are the dual system's minimal path sets, read off the dualized table
+    in one O(n * 2^n) pass; a table built from paths needs no validation.
     """
     family = _minimal_family(paths, "cuts_from_paths")
-    dual_table = dualize_table(table_from_paths(family, max_n=max_n))
-    return paths_from_simple_form(mobius_transform(dual_table))
+    return _minimal_paths(dualize_table(table_from_paths(family, max_n=max_n)))
 
 
 def formation_balance(

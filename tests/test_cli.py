@@ -1194,6 +1194,17 @@ class TestNumpyScope:
     def test_dense_passes_load_numpy(self, tmp_path, run):
         assert loads_numpy(tmp_path, run)
 
+    def test_cut_route_leaves_numpy_unloaded(self):
+        """cuts_from_paths reads the dual table, not the dual form: series 19's
+        dual form, parallel 19's, trips the walk budget of the Möbius transform."""
+        probe = (
+            "import sys, structfn\n"
+            "paths = structfn.SetFamily.from_sets([range(1, 20)], n=19)\n"
+            "print(structfn.cuts_from_paths(paths).r, 'numpy' in sys.modules)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+        assert result.stdout.split() == ["19", "False"], result.stderr
+
     @pytest.mark.parametrize("doc_name, trips", [("two_of_17", True), ("lattice_n20", False)])
     def test_walk_budget_picks_the_route(self, doc_name, trips):
         doc = SCOPE_DOCS[doc_name]

@@ -345,7 +345,7 @@ def downward_violations(table):
     if not bits >> (total - 1) & 1:
         violations.append(f"phi({_set_str(total - 1)}) = 0, expected 1")
     full = (1 << total) - 1
-    for i, pattern in enumerate(_component_patterns(n)):
+    for i, pattern in enumerate(_component_patterns()[:n]):
         step = 1 << i
         bad = bits & ~(bits >> step) & full & ~pattern
         if bad:
@@ -751,9 +751,9 @@ class TestChunkEdges:
         for name in ("_component_patterns", "_size_patterns"):
             original = getattr(structfn.core, name)
 
-            def recorded(n, original=original, name=name):
-                asked.append((name, n))
-                return original(n)
+            def recorded(original=original, name=name):
+                asked.append(name)
+                return original()
 
             monkeypatch.setattr(f"structfn.core.{name}", recorded)
         table = table_from_paths(family(LATTICE_N20_PATHS, 20))
@@ -763,8 +763,17 @@ class TestChunkEdges:
         assert validate_semicoherent(TruthTable(n=20, bits=1)).violations[0] == (
             "phi({}) = 1, expected 0"
         )
-        assert {name for name, _ in asked} == {"_component_patterns", "_size_patterns"}
-        assert max(n for _, n in asked) == 16
+        assert set(asked) == {"_component_patterns", "_size_patterns"}
+        # The table passes of a 20-component table read one chunk's patterns.
+        assert len(_component_patterns()) == 16
+        assert len(_size_patterns()) == 17
+        for pattern in _component_patterns() + _size_patterns():
+            assert pattern.bit_length() <= 1 << 16
+
+
+def low_bits(bits: int, width: int) -> list[bool]:
+    """Whether each of the ``width`` lowest bits is set, lowest first."""
+    return [c == "1" for c in reversed(format(bits & ((1 << width) - 1), f"0{width}b"))]
 
 
 class TestBitHelpers:
@@ -780,17 +789,18 @@ class TestBitHelpers:
                 expected |= 1 << (width - 1 - m)
         assert _reverse_bits(bits, width) == expected
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
     def test_size_patterns(self, n):
-        patterns = _size_patterns(n)
-        for m in range(1 << n):
-            size = bin(m).count("1")
-            for k, pattern in enumerate(patterns):
-                assert (pattern >> m & 1) == (1 if k == size else 0)
+        """The first n + 1 patterns, read over the first 2^n positions, are
+        the size patterns of an n-component table."""
+        patterns = _size_patterns()[: n + 1]
+        assert len(patterns) == n + 1
+        for k, pattern in enumerate(patterns):
+            assert low_bits(pattern, 1 << n) == [bin(m).count("1") == k for m in range(1 << n)]
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16])
     def test_component_patterns(self, n):
-        patterns = _component_patterns(n)
-        for i in range(n):
-            for m in range(1 << n):
-                assert (patterns[i] >> m & 1) == (m >> i & 1)
+        patterns = _component_patterns()[:n]
+        assert len(patterns) == n
+        for i, pattern in enumerate(patterns):
+            assert low_bits(pattern, 1 << n) == [m >> i & 1 == 1 for m in range(1 << n)]

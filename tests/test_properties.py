@@ -83,8 +83,11 @@ def test_table_route_recovers_the_family(fam):
 
 @given(antichains())
 def test_cut_routes_agree(fam):
+    """The paper's identity: the minimal cut sets are the minimal monomials of
+    the dual system's simple form."""
     table = table_from_paths(fam)
-    algebraic = cuts_from_paths(fam)
+    algebraic = paths_from_simple_form(mobius_transform(dualize_table(table)))
+    assert algebraic == cuts_from_paths(fam)
     assert algebraic == minimal_cut_sets(table)
     assert algebraic == minimal_path_sets(dualize_table(table))
 

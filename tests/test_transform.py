@@ -50,7 +50,14 @@ from structfn import (
     table_from_paths,
     zeta_transform,
 )
-from structfn.core import _BYTE_BITS, _iter_bit_positions, _join_chunks, _minimal_true_chunks
+from structfn.core import (
+    _BYTE_BITS,
+    _iter_bit_positions,
+    _join_chunks,
+    _minimal_true_chunks,
+    _set_str,
+    _subset_sort_key,
+)
 from structfn.oracle import (
     enumerate_semicoherent,
     oracle_dual_table,
@@ -160,6 +167,27 @@ def per_member_table(masks, n: int) -> int:
     return bits
 
 
+def scanned_minimal_monomials(form: MultilinearForm) -> list[int]:
+    """The inclusion-minimal monomials of a form, in canonical order: its
+    support sorted, each mask kept unless a kept one lies inside it."""
+    kept: list[int] = []
+    for m in sorted(form.coeffs, key=_subset_sort_key):
+        if not any(k & ~m == 0 for k in kept):
+            kept.append(m)
+    return kept
+
+
+def scanned_paths_from_simple_form(form: MultilinearForm) -> SetFamily:
+    """paths_from_simple_form as the pairwise scan computed it."""
+    kept = scanned_minimal_monomials(form)
+    for m in kept:
+        if form.coeffs[m] != 1:
+            raise InconsistentFormError(
+                f"minimal monomial {_set_str(m)} has coefficient {form.coeffs[m]}, expected +1"
+            )
+    return mask_family(kept, form.n)
+
+
 def packed(positions, width: int) -> int:
     """The ``width``-bit integer with exactly the given bits set, built bytewise."""
     raw = bytearray((width + 7) // 8)
@@ -204,6 +232,34 @@ class TestMinimalSets:
     def test_rejects_non_semicoherent(self):
         with pytest.raises(NotSemicoherentError):
             minimal_path_sets(TruthTable.from_values("0110"))
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [
+            (
+                TruthTable.from_values("0110"),
+                "phi({1,2}) = 0, expected 1; "
+                "monotonicity violated: phi({2}) = 1 > 0 = phi({1,2}); "
+                "monotonicity violated: phi({1}) = 1 > 0 = phi({1,2})",
+            ),
+            (
+                TruthTable.from_values("0100"),
+                "phi({1,2}) = 0, expected 1; "
+                "monotonicity violated: phi({1}) = 1 > 0 = phi({1,2})",
+            ),
+            (
+                # The up-set of {1,18} with {1,2,18}, mask 0x20003, cleared.
+                TruthTable(n=18, bits=table_from_paths(family([(1, 18)], 18)).bits ^ 1 << 0x20003),
+                "monotonicity violated: phi({1,18}) = 1 > 0 = phi({1,2,18})",
+            ),
+        ],
+        ids=["0110", "0100", "n18"],
+    )
+    def test_cuts_and_paths_name_the_given_tables_subsets(self, table, message):
+        for extract in (minimal_path_sets, minimal_cut_sets):
+            with pytest.raises(NotSemicoherentError) as raised:
+                extract(table)
+            assert str(raised.value) == message
 
     def test_matches_definition_for_all_three_component_systems(self):
         for table in enumerate_semicoherent(3):
@@ -752,6 +808,36 @@ class TestPathsFromSimpleForm:
         with pytest.raises(InconsistentFormError, match="constant term"):
             paths_from_simple_form(MultilinearForm(n=2, coeffs={0: 1, 0b01: 1}))
 
+    def test_matches_the_pairwise_scan(self):
+        """Seeded forms whose monomials nest, with the minimal ones at +1 or
+        with one of them moved off it: the same family or the same message
+        as the sorted pairwise scan that the table pass replaced."""
+        rng = random.Random(20261022)
+        raised = 0
+        for n in range(1, 13):
+            for _ in range(12):
+                seeds = {rng.randrange(1, 1 << n) for _ in range(rng.randint(1, 2 * n))}
+                coeffs = {m: 1 for m in seeds}
+                for m in seeds:  # supersets of any sign and size, nested in turn
+                    for _ in range(rng.randint(0, 3)):
+                        m |= rng.getrandbits(n)
+                        coeffs.setdefault(m, rng.choice((-3, -1, 1, 2, 5)))
+                forms = [MultilinearForm(n, coeffs)]
+                reference = scanned_minimal_monomials(forms[0])
+                for m in rng.sample(reference, min(2, len(reference))):
+                    forms.append(MultilinearForm(n, {**coeffs, m: rng.choice((-1, 0, 2, 7))}))
+                for form in forms:
+                    try:
+                        expected = scanned_paths_from_simple_form(form)
+                    except InconsistentFormError as exc:
+                        raised += 1
+                        with pytest.raises(InconsistentFormError) as got:
+                            paths_from_simple_form(form)
+                        assert str(got.value) == str(exc)
+                    else:
+                        assert paths_from_simple_form(form) == expected
+        assert raised > 100
+
 
 class TestCutsFromPaths:
     def test_adjacent_pairs(self):
@@ -760,6 +846,12 @@ class TestCutsFromPaths:
 
     def test_parallel_has_single_cut(self):
         assert str(cuts_from_paths(parallel_paths(3))) == "{1,2,3}"
+
+    def test_series_has_singleton_cuts(self):
+        """Series 24's dual form is parallel 24's, of 2^24 - 1 terms, which
+        the cuts were once read from."""
+        expected = ", ".join(f"{{{i}}}" for i in range(1, 25))
+        assert str(cuts_from_paths(series_paths(24))) == expected
 
     def test_bridge(self):
         cuts = cuts_from_paths(family(BRIDGE_PATHS, BRIDGE_N))

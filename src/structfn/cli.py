@@ -5,11 +5,11 @@ cuts, table, or simple_form), realizes the truth table, and reports the
 requested view of the system. Only table and simple_form documents are
 validated; a family's table is semicoherent by construction. Each command
 then computes only the views it prints and builds only the output format
-asked for. Every command but ``reliability`` and ``verify`` is a tuple of
-view names, and one view table gives each view's text label, JSON key,
-source and renderers for both formats; the dual views are those of a second
-analysis, of the dual table. Output is deterministic: families, terms, and
-JSON keys are always emitted in canonical order.
+asked for. Every command but ``verify`` is a tuple of view names, and one
+view table gives each view's text label, JSON key, source and renderers for
+both formats; the dual views are those of a second analysis, of the dual
+table. Output is deterministic: families, terms, and JSON keys are always
+emitted in canonical order.
 
 Exit codes: 0 success, 1 input error (or stdout closed early), 2 capacity
 exceeded, 3 verification mismatch.
@@ -253,24 +253,32 @@ class _Analysis:
     def small(self) -> tuple[int, int, int, int]:
         return small_counts_from_signature(self.sig)
 
+    @cached_property
+    def p(self) -> tuple:
+        """The --p values, one common value repeated n times, checked."""
+        p = self._options.p
+        p = p * self.table.n if len(p) == 1 else p
+        _check_probabilities(p, self.table.n)
+        return p
+
+    @cached_property
+    def reliability(self) -> "float | Fraction":
+        p = self.p  # checked before the form is built
+        return evaluate_reliability(self.form, p)
+
 
 def _signed_sum(terms: Iterable[tuple[int, str]], times: str) -> str:
     """Join (coefficient, monomial) terms as "-x + 2*y - z"; no terms read "0".
 
-    A coefficient of magnitude 1 is left off its monomial.
+    A coefficient of magnitude 1 is left off its monomial. Every term is
+    written after " + " or " - ", and the first one's is cut to its sign.
     """
-    parts: list[str] = []
-    for coeff, monomial in terms:
-        magnitude = abs(coeff)
-        if magnitude == 1:
-            body = monomial
-        else:
-            body = f"{magnitude}{times}{monomial}"
-        if not parts:
-            parts.append(body if coeff > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
+    text = "".join(
+        (" + " if c > 0 else " - ") + (m if abs(c) == 1 else f"{abs(c)}{times}{m}") for c, m in terms
+    )
+    if not text:
+        return "0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
 
 
 def _form_text(form: MultilinearForm) -> str:
@@ -321,6 +329,11 @@ def _table_json(table: TruthTable) -> "str | None":
     return table.values_string() if table.n <= _TABLE_ECHO_N_MAX else None
 
 
+def _number_json(value):
+    """A Fraction as its string, since JSON has no exact rationals; a float as is."""
+    return str(value) if isinstance(value, Fraction) else value
+
+
 # Every view a report command prints: its text label, JSON key, the _Analysis
 # attribute that holds it, and its text and JSON renderers. A view without a
 # label is JSON only, and a JSON renderer's None leaves its key out. Families
@@ -346,6 +359,8 @@ _VIEWS: dict[str, tuple] = {
     "beta": ("beta: ", "beta", "dual.paths", _census_text, _census_json),
     "small_counts": ("small counts: ", "small_counts", "small", _small_text, _small_json),
     "table": (None, "table", "table", None, _table_json),
+    "p": (None, "p", "p", None, lambda p: [_number_json(v) for v in p]),
+    "reliability": ("reliability: ", "reliability", "reliability", str, _number_json),
 }
 
 # The views of each report command, in the order text prints them.
@@ -360,9 +375,10 @@ _COMMAND_VIEWS = {
     "simple-form": ("n", "form"),
     "signature": ("json_n", "s"),
     "counts": ("json_n", "alpha", "beta", "small_counts"),
+    "reliability": ("n", "p", "reliability"),
 }
 
-COMMANDS = (*_COMMAND_VIEWS, "reliability", "verify")
+COMMANDS = (*_COMMAND_VIEWS, "verify")
 
 
 def _render(
@@ -403,27 +419,6 @@ def _run_views(system: SystemDoc, options: Options, names: Sequence[str]) -> Rep
         return {key: value for key, value in out.items() if value is not None}
 
     return _render(options, lines, payload)
-
-
-def _run_reliability(system: SystemDoc, options: Options) -> Report:
-    if options.p is None:
-        raise ValueError("reliability requires --p")
-    p = options.p
-    if len(p) == 1:
-        p = p * system.n
-    analysis = _Analysis.of(system, options)
-    _check_probabilities(p, system.n)  # after the document's checks, before the form is built
-    value = evaluate_reliability(analysis.form, p)
-    rendered = str(value)
-    return _render(
-        options,
-        lambda: [f"n: {system.n}", f"reliability: {rendered}"],
-        lambda: {
-            "n": system.n,
-            "p": [str(v) if isinstance(v, Fraction) else v for v in p],
-            "reliability": rendered if isinstance(value, Fraction) else value,
-        },
-    )
 
 
 def _formations_match(paths: SetFamily, form: MultilinearForm) -> bool:
@@ -515,8 +510,8 @@ def run_command(system: SystemDoc, command: str, options: "Options | None" = Non
     options = options or Options()
     if command not in COMMANDS:
         raise ValueError(f"unknown command {command!r}")
-    if command == "reliability":
-        return _run_reliability(system, options)
+    if command == "reliability" and options.p is None:
+        raise ValueError("reliability requires --p")
     if command == "verify":
         return _run_verify(system, options)
     return _run_views(system, options, _COMMAND_VIEWS[command])

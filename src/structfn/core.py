@@ -516,11 +516,13 @@ class SetFamily:
 
     @classmethod
     def _trusted(cls, n: int, masks: tuple[int, ...]) -> "SetFamily":
-        """A family built by the library: ``masks`` already holds distinct
-        nonzero masks below 2^n in canonical order, so nothing is re-checked."""
+        """A family built by the library: ``masks`` already holds an antichain
+        of nonzero masks below 2^n in canonical order, so nothing is re-checked
+        and the family is recorded as minimal."""
         family = object.__new__(cls)
         object.__setattr__(family, "n", n)
         object.__setattr__(family, "_masks", masks)
+        family.__dict__["_minimal"] = None
         return family
 
     @classmethod
@@ -546,8 +548,9 @@ class SetFamily:
     def minimized(self) -> "SetFamily":
         """The family with supersets dropped: ``self`` when no member contains another.
 
-        The pairwise scan runs once: the result is kept beside the cached
-        ``members`` (None standing for ``self``), and is known to be minimal.
+        A family the library built is known to be minimal. Any other is scanned
+        pairwise once, and the result is kept beside the cached ``members``
+        (None standing for ``self``).
         """
         if "_minimal" not in self.__dict__:
             keep: list[int] = []
@@ -556,8 +559,6 @@ class SetFamily:
                 if not any(k & outside == 0 for k in keep):
                     keep.append(m)
             minimal = SetFamily._trusted(self.n, tuple(keep)) if len(keep) < self.r else None
-            if minimal is not None:
-                minimal.__dict__["_minimal"] = None
             self.__dict__["_minimal"] = minimal
         return self.__dict__["_minimal"] or self
 

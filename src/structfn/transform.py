@@ -287,6 +287,8 @@ def paths_from_simple_form(form: MultilinearForm) -> SetFamily:
         raise InconsistentFormError(
             f"constant term {form.coefficient(0)} present; no semicoherent system has one"
         )
+    if not form.coeffs:
+        raise InconsistentFormError("the form is empty; no semicoherent system has one")
     minimal = _minimal_paths(TruthTable(n=form.n, bits=_up_closure(form.coeffs, form.n)))
     for mask in minimal.masks():
         coeff = form.coeffs[mask]

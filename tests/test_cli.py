@@ -1297,7 +1297,7 @@ def seeded_family(rng: random.Random, members: int) -> SetFamily:
     masks = {rng.getrandbits(8) | 1, 1 << 23}
     while len(masks) < members:
         masks.add(rng.getrandbits(24) | 1 << rng.randrange(8, 16) | 1 << rng.randrange(16, 24))
-    return SetFamily._trusted(24, tuple(sorted(masks, key=_subset_sort_key)))
+    return SetFamily(24, tuple(SubsetMask(m, 24) for m in masks))
 
 
 # The CLI's rendering and its reference, of a seeded n = 24 form and family.

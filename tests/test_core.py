@@ -577,7 +577,7 @@ class TestSubtableMobius:
         for _ in range(6):
             self.assert_routes_agree(TruthTable(n, rng.getrandbits(1 << n)), oracle=n <= 8)
             paths = [rng.getrandbits(n) | 1 << rng.randrange(n) for _ in range(rng.randint(1, 12))]
-            monotone = table_from_paths(SetFamily._trusted(n, tuple(set(paths))))
+            monotone = table_from_paths(SetFamily(n, tuple(SubsetMask(m, n) for m in set(paths))))
             self.assert_routes_agree(monotone, oracle=n <= 8)
 
     @pytest.mark.parametrize(
@@ -709,7 +709,7 @@ class TestChunkEdges:
         rng = random.Random(200 + n)
         for _ in range(4):
             masks = [rng.getrandbits(n) | 1 for _ in range(rng.randint(1, 8))]
-            paths = SetFamily._trusted(n, tuple(sorted(set(masks), key=_subset_sort_key)))
+            paths = SetFamily(n, tuple(SubsetMask(m, n) for m in set(masks)))
             assert table_from_paths(paths) == values_table(reference_up_set(masks, n), n)
 
     @pytest.mark.parametrize("n", [15, 16, 17, 18])

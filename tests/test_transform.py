@@ -178,8 +178,11 @@ def scanned_minimal_monomials(form: MultilinearForm) -> list[int]:
 
 
 def scanned_paths_from_simple_form(form: MultilinearForm) -> SetFamily:
-    """paths_from_simple_form as the pairwise scan computed it."""
+    """paths_from_simple_form as the pairwise scan computed it, and with the
+    empty form rejected, as it is now."""
     kept = scanned_minimal_monomials(form)
+    if not kept:
+        raise InconsistentFormError("the form is empty; no semicoherent system has one")
     for m in kept:
         if form.coeffs[m] != 1:
             raise InconsistentFormError(
@@ -743,6 +746,7 @@ def assert_public_family(built: SetFamily) -> None:
     assert built.members == public.members
     assert built.masks() == public.masks()
     assert built.size_census() == public.size_census()
+    assert built.is_antichain() and public.is_antichain()
 
 
 class TestTrustedFamilies:
@@ -784,6 +788,43 @@ class TestTrustedFamilies:
         for fam in kernel_families():
             assert fam.minimized() is fam
 
+    def test_returned_families_are_not_scanned(self, monkeypatch):
+        """A family read off a table, or returned by minimized(), is known to
+        be minimal, so no later call scans it pairwise. Confirming the 16,440
+        cuts of 60 random 8-subsets of 24 components once took seconds."""
+        import structfn.core
+
+        rng = random.Random(11)
+        subsets = set()
+        while len(subsets) < 60:
+            subsets.add(frozenset(rng.sample(range(1, 25), 8)))
+        lattice = family(LATTICE_N20_PATHS, 20)
+        table = table_from_paths(lattice)
+        returned = [
+            cuts_from_paths(family(subsets, 24)),
+            minimal_path_sets(table),
+            minimal_cut_sets(table),
+            paths_from_simple_form(simple_form_from_paths(lattice)),
+            family([(1,), (1, 2), (2, 3)], 3).minimized(),
+        ]
+        assert returned[0].r == 16440
+        checks = []  # one any() per member the pairwise scan visits
+
+        def counted_any(items):
+            checks.append(1)
+            return any(items)
+
+        monkeypatch.setattr(structfn.core, "any", counted_any, raising=False)
+        for fam in returned:
+            assert fam.is_antichain() and fam.minimized() is fam
+        for fam in returned[1:]:
+            simple_form_from_paths(fam)
+            diagonal_from_paths(fam)
+            signature_from_paths(fam)
+            formation_balance(fam, fam.masks()[-1])
+            cuts_from_paths(fam)
+        assert checks == []
+
 
 class TestPathsFromSimpleForm:
     def test_bridge_recovery(self):
@@ -807,6 +848,11 @@ class TestPathsFromSimpleForm:
     def test_rejects_constant_term(self):
         with pytest.raises(InconsistentFormError, match="constant term"):
             paths_from_simple_form(MultilinearForm(n=2, coeffs={0: 1, 0b01: 1}))
+
+    def test_rejects_the_empty_form(self):
+        """An empty form has no minimal monomial; no system has it as its form."""
+        with pytest.raises(InconsistentFormError, match="the form is empty"):
+            paths_from_simple_form(MultilinearForm(n=3, coeffs={}))
 
     def test_matches_the_pairwise_scan(self):
         """Seeded forms whose monomials nest, with the minimal ones at +1 or
